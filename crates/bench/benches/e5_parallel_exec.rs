@@ -156,7 +156,7 @@ fn main() {
         let mut arrays = base.clone();
         let tracker = CommTracker::new(PROCS, CostModel::ipsc860(PROCS));
         let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
-        execute_redistribute_fused(&mut refs, &fused, &tracker, &threaded).unwrap();
+        execute_redistribute_fused_wire(&mut refs, &fused, &tracker, &threaded).unwrap();
         arrays.len()
     });
     println!(

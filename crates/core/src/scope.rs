@@ -1148,7 +1148,10 @@ mod tests {
         // level too.
         let mut s2 = scope(p);
         s2.set_executor(vf_runtime::ExecBackend::Threaded(
-            vf_runtime::ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0),
+            vf_runtime::ThreadedExecutor::with_pool(std::sync::Arc::new(
+                vf_machine::WorkerPool::new(3),
+            ))
+            .with_serial_cutoff(0),
         ));
         assert_eq!(vf_runtime::PlanExecutor::name(s2.executor()), "threaded");
         s2.declare_dynamic(DynamicDecl::new("B", IndexDomain::d1(32)).initial(DistType::block1d()))

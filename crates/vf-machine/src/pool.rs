@@ -1,11 +1,10 @@
 //! A persistent pool of parked SPMD worker threads.
 //!
-//! [`spmd::run_partitioned`](crate::spmd::run_partitioned) pays a full
-//! harness setup — fresh OS threads, channels, a barrier — on *every* call,
-//! even though the plan-executor copy closures it drives never touch a
-//! channel.  For plans near the serial cutoff that setup costs as much as
-//! the memcpy work itself, which is why the threaded executor needed a
-//! large serial cutoff at all.  A [`WorkerPool`] keeps the workers alive
+//! [`spmd::run`](crate::spmd::run) pays a full harness setup — fresh OS
+//! threads, channels, a barrier — on *every* call, even for plan-executor
+//! copy closures that never touch a channel.  For plans near the serial
+//! cutoff that setup costs as much as the memcpy work itself.  A
+//! [`WorkerPool`] keeps the workers alive
 //! across calls instead: threads are spawned once, park between jobs, and
 //! a job submission is an epoch bump plus one unpark per spawned worker —
 //! no spawn, no channel allocation, no join.  The submitting thread
@@ -315,10 +314,10 @@ impl WorkerPool {
     }
 
     /// Runs `num_items` independent work items over the pool's workers
-    /// (round-robin by item index) and returns the results in item order —
-    /// the persistent-pool counterpart of
-    /// [`spmd::run_partitioned`](crate::spmd::run_partitioned), with the
-    /// same closure shape so existing copy closures run unchanged.
+    /// (round-robin by item index) and returns the results in item order.
+    /// Each item is typically one destination processor's share of a
+    /// communication plan — embarrassingly parallel, since every
+    /// destination buffer is written by exactly one item.
     ///
     /// `tracker` is the machine context the items are accounted against
     /// (exposed through [`WorkerCtx::charge_compute`]); the dispatch itself

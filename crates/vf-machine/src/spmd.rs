@@ -794,56 +794,6 @@ where
         .collect()
 }
 
-/// Runs `num_items` independent work items over up to `workers` SPMD worker
-/// threads (round-robin partition by item index) and returns the results in
-/// item order.
-///
-/// Each work item is one destination processor's share of a communication
-/// plan, and the items are embarrassingly parallel (every destination
-/// buffer is written by exactly one item).  The worker count is clamped to
-/// the item count so no idle threads are spawned.
-///
-/// Every call pays the full harness setup — fresh OS threads, channels, a
-/// barrier — even though copy closures never message each other; this is
-/// the *fresh-spawn baseline* the plan executor only uses when no
-/// [`crate::pool::WorkerPool`] is attached.  Iterative codes should submit
-/// through a pool instead ([`crate::pool::WorkerPool::run_partitioned`],
-/// same closure shape), which parks its workers between jobs.
-pub fn run_partitioned<R, F>(
-    workers: usize,
-    tracker: &CommTracker,
-    num_items: usize,
-    work: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut ProcCtx, usize) -> R + Sync,
-{
-    if num_items == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, num_items);
-    let per_rank: Vec<Vec<(usize, R)>> = run(workers, tracker, |ctx| {
-        let mut out = Vec::new();
-        let mut item = ctx.rank();
-        while item < num_items {
-            out.push((item, work(ctx, item)));
-            item += ctx.num_procs();
-        }
-        out
-    });
-    let mut slots: Vec<Option<R>> = (0..num_items).map(|_| None).collect();
-    for rank_items in per_rank {
-        for (item, result) in rank_items {
-            slots[item] = Some(result);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item is assigned to exactly one rank"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1117,21 +1067,6 @@ mod tests {
             ctx.allreduce_sum(1.0).unwrap()
         });
         assert_eq!(sums, vec![6.0; 6]);
-    }
-
-    #[test]
-    fn run_partitioned_returns_items_in_order() {
-        let tracker = CommTracker::new(4, CostModel::zero());
-        let results = run_partitioned(3, &tracker, 10, |ctx, item| {
-            assert!(ctx.rank() < 3);
-            item * item
-        });
-        assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        // Degenerate shapes: no items, and more workers than items.
-        let empty: Vec<usize> = run_partitioned(4, &tracker, 0, |_, item| item);
-        assert!(empty.is_empty());
-        let single = run_partitioned(8, &tracker, 2, |ctx, item| (ctx.num_procs(), item));
-        assert_eq!(single, vec![(2, 0), (2, 1)]);
     }
 
     #[test]

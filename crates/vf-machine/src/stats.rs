@@ -66,8 +66,8 @@ pub struct CommStats {
     /// stack acted upon; chaos tests assert this matches the injector's
     /// own count.
     faults_injected: usize,
-    /// Degraded-mode transitions taken (pooled → fresh-spawn/serial on a
-    /// worker death, split-phase → blocking on a cancelled handle).
+    /// Degraded-mode transitions taken (pooled → serial on a worker death,
+    /// split-phase → blocking on a cancelled handle).
     fallbacks: usize,
     /// Messages *actually carried* over [`spmd`](crate::spmd) channels, as
     /// opposed to the modelled counts in `per_proc`.  On shared-memory
@@ -294,17 +294,17 @@ impl CommStats {
         self.ckpt_bytes_read
     }
 
-    /// Counts `bytes` written to a checkpoint file, emitting a matching
-    /// trace instant so the drift guard sees persistence traffic.
+    /// Counts `bytes` written to a checkpoint file.  The trace marks each
+    /// save once, with the `CkptWrite` span around it; the byte total
+    /// lives only here.
     pub fn record_ckpt_write(&mut self, bytes: usize) {
         self.ckpt_bytes_written += bytes;
-        crate::trace::instant_n(crate::trace::Phase::CkptWrite, bytes);
     }
 
-    /// Counts `bytes` read back from a checkpoint file.
+    /// Counts `bytes` read back from a checkpoint file (each restore is
+    /// one `CkptRead` span in the trace).
     pub fn record_ckpt_read(&mut self, bytes: usize) {
         self.ckpt_bytes_read += bytes;
-        crate::trace::instant_n(crate::trace::Phase::CkptRead, bytes);
     }
 
     /// Merges another statistics object (same processor count) into this

@@ -295,7 +295,7 @@ impl CommTracker {
         self.stats.lock().record_faults(1);
     }
 
-    /// Counts one degraded-mode transition (pooled → fresh-spawn/serial,
+    /// Counts one degraded-mode transition (pooled → serial,
     /// split-phase → blocking).
     pub fn record_fallback(&self) {
         self.stats.lock().record_fallbacks(1);

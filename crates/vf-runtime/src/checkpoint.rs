@@ -53,7 +53,7 @@
 //! non-trivial processor subset fails the fingerprint cross-check at
 //! restore rather than silently rebinding ranks.
 
-use crate::exec::wire_checksum;
+use crate::element::wire_checksum;
 use crate::plan::PlanCache;
 use crate::redistribute_impl::{redistribute_cached_with, RedistOptions};
 use crate::{DistArray, Element, PlanExecutor, Result, RuntimeError};

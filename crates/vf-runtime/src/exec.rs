@@ -13,7 +13,8 @@
 //! * [`ThreadedExecutor`] — partitions the transfer list *by destination
 //!   processor* (each destination buffer is written by exactly one
 //!   partition, so the partitions are embarrassingly parallel) and drives
-//!   the copies from the [`vf_machine::spmd`] worker threads.
+//!   the copies from the parked workers of a persistent
+//!   [`vf_machine::WorkerPool`].
 //! * [`ExecBackend`] — a runtime-selectable backend; [`ExecBackend::auto`]
 //!   picks the threaded executor when the host has more than one core.
 //!
@@ -31,15 +32,20 @@
 //! plans of a connect class (or any multi-array `DISTRIBUTE`) into one
 //! schedule charged as a *single message per processor pair* for the whole
 //! class — the per-array payloads between one (sender, receiver) pair
-//! travel together instead of as one message per array.
+//! travel together instead of as one message per array.  Its codec
+//! methods ([`FusedPlan`]'s `post`, `local_buffers`, `pack`, `seal`,
+//! `check` and `unpack`) are the one wire format every transport speaks:
+//! the blocking shared-memory path here, the split-phase streaming path
+//! below, and the SPMD channel path in [`crate::shard`].
 
+use crate::element::wire_checksum;
 use crate::plan::{CommPlan, PlanIndex, PlanKind, PlanRun, Transfer};
 use crate::{DistArray, Element, RedistReport, Result, RuntimeError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-use vf_machine::{pool, spmd, trace, CommTracker, JobTicket, WorkerPool};
+use vf_machine::{pool, trace, CommTracker, JobTicket, WireFrameMsg, WorkerPool};
 
 /// What executing a plan's communication charged to the cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -257,18 +263,11 @@ impl PlanExecutor for SerialExecutor {
 }
 
 /// The threaded backend: the destination buffers are partitioned
-/// round-robin over worker threads, each of which allocates and fills its
-/// share (no two threads ever touch the same buffer, so no locking is
-/// needed on the data path).
-///
-/// With a [`WorkerPool`] attached (the default for [`ThreadedExecutor::
-/// auto`] and [`ExecBackend::auto`]) the partitions are submitted to the
-/// pool's *parked* workers — a condvar wake instead of the full
-/// [`vf_machine::spmd`] harness setup (fresh OS threads, channels,
-/// barrier) per execute, which is 10–25× cheaper dispatch and the reason
-/// the serial cutoff could drop from 512 KiB to 32 KiB.  Without a pool
-/// the executor falls back to the fresh-spawn harness, the pre-pool
-/// baseline the `e8_pool` bench measures against.
+/// round-robin over the parked workers of a persistent [`WorkerPool`],
+/// each of which allocates and fills its share (no two workers ever touch
+/// the same buffer, so no locking is needed on the data path).  A pool
+/// dispatch is a condvar wake, not a thread spawn, which is why the serial
+/// cutoff sits as low as [`ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES`].
 ///
 /// Threading only pays above a copy-volume cutoff — below it (or with a
 /// single worker) the backend degrades to the serial loop while keeping the
@@ -276,24 +275,16 @@ impl PlanExecutor for SerialExecutor {
 /// way.
 #[derive(Debug, Clone)]
 pub struct ThreadedExecutor {
-    workers: usize,
-    /// Explicit cutoff override; `None` picks the pool-dependent default.
-    cutoff_override: Option<usize>,
-    /// Persistent worker pool; `None` spawns fresh spmd workers per call.
-    pool: Option<Arc<WorkerPool>>,
+    /// Copy volume (bytes) below which plans run on the calling thread.
+    cutoff: usize,
+    pool: Arc<WorkerPool>,
 }
 
 impl ThreadedExecutor {
-    /// Default copy volume (in bytes) below which threading is not worth
-    /// the **fresh-spawn** overhead and the copies run serially.  Only
-    /// applies when no worker pool is attached.
-    pub const DEFAULT_SERIAL_CUTOFF_BYTES: usize = 512 * 1024;
-
-    /// Default copy volume (in bytes) below which even **pooled** dispatch
-    /// is not worth waking the workers.  Pooled dispatch measures 10–25×
-    /// cheaper than the fresh-spawn harness (see the `e8_pool` bench), so
-    /// the crossover sits correspondingly lower: a pool wake costs a few
-    /// microseconds, the memcpy equivalent of roughly this many bytes.
+    /// Default copy volume (in bytes) below which pooled dispatch is not
+    /// worth waking the workers: a pool wake costs a few microseconds, the
+    /// memcpy equivalent of roughly this many bytes (see the `e8_pool`
+    /// bench's crossover sweep).
     pub const DEFAULT_POOLED_CUTOFF_BYTES: usize = 32 * 1024;
 
     /// A threaded executor with one worker per available hardware core,
@@ -307,83 +298,46 @@ impl ThreadedExecutor {
     /// pool worker).
     pub fn with_pool(pool: Arc<WorkerPool>) -> Self {
         Self {
-            workers: pool.workers(),
-            cutoff_override: None,
-            pool: Some(pool),
+            cutoff: Self::DEFAULT_POOLED_CUTOFF_BYTES,
+            pool,
         }
-    }
-
-    /// A threaded executor with exactly `workers` **fresh-spawn** worker
-    /// threads (`workers` is clamped to at least 1) — the pre-pool
-    /// baseline, kept for differential tests and the dispatch bench.
-    /// Attach a pool with [`ThreadedExecutor::pooled`].
-    pub fn with_workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            cutoff_override: None,
-            pool: None,
-        }
-    }
-
-    /// Attaches a persistent worker pool: partitions are submitted to the
-    /// pool's parked workers instead of freshly spawned threads.  The
-    /// pool's worker count takes over as the partition width.
-    pub fn pooled(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.workers = pool.workers();
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Overrides the serial/parallel cutoff (0 forces the threaded path
-    /// for every plan — used by the equivalence property tests).
-    pub fn serial_cutoff_bytes(self, bytes: usize) -> Self {
-        self.with_serial_cutoff(bytes)
     }
 
     /// Overrides the serial/parallel cutoff in bytes: plans whose copy
-    /// volume is below the cutoff run on the calling thread.  Without an
-    /// override the default depends on the dispatch mechanism —
-    /// [`ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES`] with a pool
-    /// attached, [`ThreadedExecutor::DEFAULT_SERIAL_CUTOFF_BYTES`] for
-    /// fresh spawns.  [`ExecBackend::auto`] additionally honours the
-    /// `VF_EXEC_CUTOFF` environment variable (bytes) for benching.
+    /// volume is below the cutoff run on the calling thread (0 forces the
+    /// threaded path for every plan — used by the equivalence tests).
+    /// [`ExecBackend::auto`] additionally honours the `VF_EXEC_CUTOFF`
+    /// environment variable (bytes) for benching.
     pub fn with_serial_cutoff(mut self, bytes: usize) -> Self {
-        self.cutoff_override = Some(bytes);
+        self.cutoff = bytes;
         self
     }
 
-    /// The cutoff currently in effect (override, or the dispatch-dependent
-    /// default).
+    /// The cutoff currently in effect.
     pub fn effective_serial_cutoff(&self) -> usize {
-        self.cutoff_override.unwrap_or(if self.pool.is_some() {
-            Self::DEFAULT_POOLED_CUTOFF_BYTES
-        } else {
-            Self::DEFAULT_SERIAL_CUTOFF_BYTES
-        })
+        self.cutoff
     }
 
-    /// The attached persistent worker pool, if any.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
+    /// The persistent worker pool the executor submits to.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
-    /// The configured worker count.
+    /// The worker count (the pool's width).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers()
     }
 
-    /// Runs `num_items` independent work items — pool dispatch when a pool
-    /// is attached, the fresh-spawn spmd harness otherwise.  Every
-    /// threaded path funnels through here, so pooled and spawned execution
-    /// can never drift in how items are partitioned (round-robin by item).
+    /// Runs `num_items` independent work items on the pool.  Every
+    /// threaded path funnels through here, so items are always partitioned
+    /// the same way (round-robin by item).
     ///
     /// Under fault injection the dispatch degrades rather than fails: a
     /// fired worker-death marks one worker dead in the tracker's injector,
-    /// and as long as any workers are marked dead the pool is bypassed —
-    /// fresh-spawn threads carry the job while more than one worker
-    /// survives, a serial loop on the calling thread otherwise.  Both
-    /// fallbacks return results in item order, so the produced buffers
-    /// stay bitwise identical to the healthy path.
+    /// and as long as any workers are marked dead the pool is bypassed for
+    /// a serial loop on the calling thread.  That fallback returns results
+    /// in item order, so the produced buffers stay bitwise identical to the
+    /// healthy path.
     fn dispatch<R, F>(&self, tracker: &CommTracker, num_items: usize, work: F) -> Vec<R>
     where
         R: Send,
@@ -395,22 +349,12 @@ impl ThreadedExecutor {
                 tracker.record_fault();
                 tracker.record_fallback();
             }
-            let dead = inj.dead_workers();
-            if dead > 0 {
-                let healthy = self.workers.saturating_sub(dead);
-                return if healthy > 1 {
-                    spmd::run_partitioned(healthy, tracker, num_items, |_ctx, item| work(item))
-                } else {
-                    (0..num_items).map(work).collect()
-                };
+            if inj.dead_workers() > 0 {
+                return (0..num_items).map(work).collect();
             }
         }
-        match &self.pool {
-            Some(pool) => pool.run_partitioned(tracker, num_items, |_ctx, item| work(item)),
-            None => {
-                spmd::run_partitioned(self.workers, tracker, num_items, |_ctx, item| work(item))
-            }
-        }
+        self.pool
+            .run_partitioned(tracker, num_items, |_ctx, item| work(item))
     }
 }
 
@@ -434,7 +378,8 @@ impl PlanExecutor for ThreadedExecutor {
             }
         }
         let copy_bytes: usize = dest_bytes.iter().sum();
-        if self.workers <= 1 || copy_bytes < self.effective_serial_cutoff() {
+        let workers = self.workers();
+        if workers <= 1 || copy_bytes < self.cutoff {
             return SerialExecutor.run_copies(transfers, src, dst_sizes, tracker);
         }
         // Skew check: the per-destination partition serialises one worker
@@ -447,7 +392,7 @@ impl PlanExecutor for ThreadedExecutor {
             .enumerate()
             .max_by_key(|&(_, b)| *b)
             .expect("dst_sizes is non-empty for a plan above the cutoff");
-        let skewed = hot_bytes * self.workers > 2 * copy_bytes.max(1);
+        let skewed = hot_bytes * workers > 2 * copy_bytes.max(1);
         let mut out = self.dispatch(tracker, dst_sizes.len(), |dst| {
             if skewed && dst == hot {
                 // Filled by the split phase below.
@@ -473,7 +418,8 @@ impl PlanExecutor for ThreadedExecutor {
             .iter()
             .map(|u| u.len() * std::mem::size_of::<T>())
             .sum();
-        if self.workers <= 1 || total_bytes < self.effective_serial_cutoff() {
+        let workers = self.workers();
+        if workers <= 1 || total_bytes < self.cutoff {
             SerialExecutor.run_updates(locals, updates, combine);
             return;
         }
@@ -482,12 +428,12 @@ impl PlanExecutor for ThreadedExecutor {
         // so the combine semantics are exactly the serial ones.  Owners
         // with no updates are skipped outright.
         type OwnerWork<'a, T> = (&'a mut Vec<T>, &'a Vec<(usize, T)>);
-        let mut bins: Vec<Vec<OwnerWork<'_, T>>> = (0..self.workers).map(|_| Vec::new()).collect();
+        let mut bins: Vec<Vec<OwnerWork<'_, T>>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, (buf, ups)) in locals.iter_mut().zip(updates).enumerate() {
             if ups.is_empty() {
                 continue;
             }
-            bins[i % self.workers].push((buf, ups));
+            bins[i % workers].push((buf, ups));
         }
         let apply = |bin: &mut Vec<OwnerWork<'_, T>>| {
             for (buf, ups) in bin {
@@ -496,33 +442,22 @@ impl PlanExecutor for ThreadedExecutor {
                 }
             }
         };
-        let apply = &apply;
-        match &self.pool {
-            // Pooled: worker `rank` drains its own bin (one uncontended
-            // lock each — the cells only exist to hand `&mut` bins through
-            // the shared job closure).  Empty bins are dropped first so the
-            // dispatch wakes only as many workers as there are bins with
-            // work (right-sized wakes; owners are independent, so which
-            // rank drains which bin does not matter).
-            Some(pool) => {
-                let cells: Vec<std::sync::Mutex<Vec<OwnerWork<'_, T>>>> = bins
-                    .into_iter()
-                    .filter(|bin| !bin.is_empty())
-                    .map(std::sync::Mutex::new)
-                    .collect();
-                pool.run_limited(cells.len(), &|rank| {
-                    if let Some(cell) = cells.get(rank) {
-                        apply(&mut cell.lock().unwrap_or_else(|e| e.into_inner()));
-                    }
-                });
+        // Worker `rank` drains its own bin (one uncontended lock each —
+        // the cells only exist to hand `&mut` bins through the shared job
+        // closure).  Empty bins are dropped first so the dispatch wakes
+        // only as many workers as there are bins with work (right-sized
+        // wakes; owners are independent, so which rank drains which bin
+        // does not matter).
+        let cells: Vec<Mutex<Vec<OwnerWork<'_, T>>>> = bins
+            .into_iter()
+            .filter(|bin| !bin.is_empty())
+            .map(Mutex::new)
+            .collect();
+        self.pool.run_limited(cells.len(), &|rank| {
+            if let Some(cell) = cells.get(rank) {
+                apply(&mut cell.lock().unwrap_or_else(PoisonError::into_inner));
             }
-            // Fresh-spawn baseline: one scoped thread per bin.
-            None => std::thread::scope(|scope| {
-                for mut bin in bins {
-                    scope.spawn(move || apply(&mut bin));
-                }
-            }),
-        }
+        });
     }
 
     fn run_indexed<R: Send>(
@@ -532,7 +467,7 @@ impl PlanExecutor for ThreadedExecutor {
         tracker: &CommTracker,
         work: impl Fn(usize) -> R + Sync,
     ) -> Vec<R> {
-        if self.workers <= 1 || copy_bytes < self.effective_serial_cutoff() {
+        if self.workers() <= 1 || copy_bytes < self.cutoff {
             return (0..num_items).map(work).collect();
         }
         self.dispatch(tracker, num_items, work)
@@ -547,8 +482,7 @@ impl ThreadedExecutor {
     /// targeting one destination have pairwise-disjoint destination
     /// intervals; sorted by destination offset they tile the buffer in
     /// order, and cutting between runs yields independent contiguous
-    /// regions that `split_at_mut` hands to the workers (the attached pool
-    /// when there is one, scoped threads in fresh-spawn mode) — safe
+    /// regions that `split_at_mut` hands to the pool's workers — safe
     /// parallel writes into one buffer, no locking on the data path,
     /// bitwise-identical output.
     fn copy_hot_destination_split<T: Element>(
@@ -571,8 +505,9 @@ impl ThreadedExecutor {
             return buf;
         }
         // Chunk boundaries between runs, at roughly even element counts.
-        let per_chunk = total.div_ceil(self.workers);
-        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(self.workers); // run index ranges
+        let workers = self.workers();
+        let per_chunk = total.div_ceil(workers);
+        let mut chunks: Vec<(usize, usize)> = Vec::with_capacity(workers); // run index ranges
         let mut start = 0usize;
         let mut acc = 0usize;
         for (i, (_, r)) in runs.iter().enumerate() {
@@ -612,29 +547,16 @@ impl ThreadedExecutor {
                     .copy_from_slice(&src[sp][r.src_start..r.src_start + r.len]);
             }
         };
-        match &self.pool {
-            // Pooled: worker `rank` takes chunk `rank` (at most one chunk
-            // per worker by construction); the cells only exist to hand
-            // the `&mut` regions through the shared job closure.  The wake
-            // is sized to the chunk count — fewer chunks than workers
-            // never pays a full-pool wake.
-            Some(pool) => {
-                let cells: Vec<std::sync::Mutex<HotChunk<'_, T>>> =
-                    items.into_iter().map(std::sync::Mutex::new).collect();
-                pool.run_limited(cells.len(), &|rank| {
-                    if let Some(cell) = cells.get(rank) {
-                        copy_chunk(&mut cell.lock().unwrap_or_else(|e| e.into_inner()));
-                    }
-                });
+        // Worker `rank` takes chunk `rank` (at most one chunk per worker by
+        // construction); the cells only exist to hand the `&mut` regions
+        // through the shared job closure.  The wake is sized to the chunk
+        // count — fewer chunks than workers never pays a full-pool wake.
+        let cells: Vec<Mutex<HotChunk<'_, T>>> = items.into_iter().map(Mutex::new).collect();
+        self.pool.run_limited(cells.len(), &|rank| {
+            if let Some(cell) = cells.get(rank) {
+                copy_chunk(&mut cell.lock().unwrap_or_else(PoisonError::into_inner));
             }
-            // Fresh-spawn baseline: one scoped thread per chunk.
-            None => std::thread::scope(|scope| {
-                for mut item in items {
-                    let copy_chunk = &copy_chunk;
-                    scope.spawn(move || copy_chunk(&mut item));
-                }
-            }),
-        }
+        });
         buf
     }
 }
@@ -650,7 +572,7 @@ pub enum ExecBackend {
     /// Distributed-memory execution ([`crate::shard::ShardedExecutor`]):
     /// each rank holds only its local shard and fused wire buffers travel
     /// over real [`vf_machine::spmd`] channels.  Non-wire plan phases
-    /// (scatter updates, plain per-part copies) fall back to the serial
+    /// (scatter updates, unfused per-array copies) fall back to the serial
     /// shared-memory oracle.
     Sharded(crate::shard::ShardedExecutor),
 }
@@ -664,7 +586,7 @@ impl ExecBackend {
     /// the `VF_EXEC_CUTOFF` environment variable (bytes; must be positive
     /// — a zero value is rejected with a warning and the default cutoff is
     /// kept, since forcing the threaded path for every plan is what the
-    /// [`ThreadedExecutor::serial_cutoff_bytes`] API is for).
+    /// [`ThreadedExecutor::with_serial_cutoff`] API is for).
     ///
     /// With `VF_EXEC_BACKEND=sharded`, the sharded receive bound can be
     /// tuned through `VF_SHARD_TIMEOUT` (milliseconds; positive).
@@ -679,7 +601,7 @@ impl ExecBackend {
                 Ok(0) => eprintln!(
                     "warning: VF_EXEC_CUTOFF=0 is not honoured (it would force threaded \
                      dispatch for every plan); keeping the default cutoff — use \
-                     ThreadedExecutor::serial_cutoff_bytes(0) to force threading in code"
+                     ThreadedExecutor::with_serial_cutoff(0) to force threading in code"
                 ),
                 Ok(cutoff) => threaded = threaded.with_serial_cutoff(cutoff),
                 // A set-but-unparseable override must not be measured
@@ -729,7 +651,7 @@ impl ExecBackend {
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         match self {
             ExecBackend::Serial => None,
-            ExecBackend::Threaded(t) => t.pool(),
+            ExecBackend::Threaded(t) => Some(t.pool()),
             ExecBackend::Sharded(s) => s.pool(),
         }
     }
@@ -826,18 +748,18 @@ pub struct FusedPlan {
     stayed_elements: usize,
     /// Crossing (src, dst) pairs with traffic in any part, with the summed
     /// element count — one fused message each.
-    pub(crate) pair_elements: Vec<((usize, usize), usize)>,
+    pair_elements: Vec<((usize, usize), usize)>,
     /// Per crossing pair (aligned with `pair_elements`): the wire layout of
     /// the fused message, parts in fusion order.
-    pub(crate) pair_slices: Vec<Vec<FusedSlice>>,
+    pair_slices: Vec<Vec<FusedSlice>>,
     /// Per part: index of the part's transfer carrying a (src, dst) pair
     /// (at most one — plans aggregate per pair; local pairs included).
     /// Precomputed here so the wire executors pay no per-execute indexing.
-    pub(crate) pair_transfer: Vec<HashMap<(usize, usize), usize>>,
+    pair_transfer: Vec<HashMap<(usize, usize), usize>>,
     /// Per destination processor: indices into `pair_elements` of the
     /// pairs arriving there — the wire executors' per-destination work
     /// lists, precomputed for the same reason.
-    pub(crate) pairs_by_dst: Vec<Vec<usize>>,
+    pairs_by_dst: Vec<Vec<usize>>,
 }
 
 impl FusedPlan {
@@ -1013,351 +935,111 @@ impl FusedPlan {
         Ok(())
     }
 
-    /// The fused message list: one `(src, dst, bytes)` entry per crossing
-    /// processor pair, payloads of all parts summed.  Zero-byte entries are
-    /// never emitted (a pair only appears with traffic, and elements are
-    /// at least one byte wide).
-    pub(crate) fn message_batch(&self, elem_bytes: usize) -> Vec<(usize, usize, usize)> {
+    // -----------------------------------------------------------------------
+    // The wire codec: every transport (blocking shared memory, split-phase
+    // streaming, SPMD channels) moves a fused exchange through exactly
+    // these methods, so the wire layout exists in one place.
+    // -----------------------------------------------------------------------
+
+    /// Number of processors the fused schedule addresses — the width of
+    /// the per-destination work lists.
+    pub(crate) fn procs(&self) -> usize {
+        self.pairs_by_dst.len()
+    }
+
+    /// The `(src, dst)` pair and summed element count of wire message `pi`
+    /// (an index below [`FusedPlan::num_messages`]).  Every message crosses
+    /// processors and carries at least one element.
+    pub(crate) fn pair(&self, pi: usize) -> ((usize, usize), usize) {
+        self.pair_elements[pi]
+    }
+
+    /// The wire messages arriving at processor `d`, in unpack order.
+    pub(crate) fn arriving(&self, d: usize) -> &[usize] {
+        self.pairs_by_dst.get(d).map_or(&[], Vec::as_slice)
+    }
+
+    /// The wire messages processor `s` sends, in pair order.
+    pub(crate) fn sent_by(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
         self.pair_elements
             .iter()
-            .filter(|&&(_, elements)| elements * elem_bytes > 0)
+            .enumerate()
+            .filter(move |(_, &((src, _), _))| src == s)
+            .map(|(pi, _)| pi)
+    }
+
+    /// The post step every transport shares: charges the parts' directory
+    /// fetches, then posts the **single message per crossing pair** batch
+    /// (payloads of all parts summed) inside a [`trace::Phase::Post`] span.
+    /// Returns the pending batch and what it charged.
+    pub(crate) fn post(
+        &self,
+        tracker: &CommTracker,
+        elem_bytes: usize,
+    ) -> (vf_machine::PendingSends, ExecReport) {
+        for part in &self.parts {
+            part.charge_directory(tracker);
+        }
+        // A pair only appears with traffic and elements are at least one
+        // byte wide, so no zero-byte message is ever posted.
+        let batch: Vec<(usize, usize, usize)> = self
+            .pair_elements
+            .iter()
             .map(|&((src, dst), elements)| (src, dst, elements * elem_bytes))
+            .collect();
+        let report = ExecReport {
+            messages: batch.len(),
+            bytes: batch.iter().map(|m| m.2).sum(),
+        };
+        let span =
+            trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{} msgs", report.messages));
+        let pending = tracker.post_many(batch);
+        span.end();
+        (pending, report)
+    }
+
+    /// Processor `d`'s fresh destination buffers, one per part (`len(part)`
+    /// default-filled elements), with the elements that stay on `d` already
+    /// copied in: they never touch a wire.  `src(part, proc)` is `proc`'s
+    /// source segment of `part`; only `proc == d` is read.
+    pub(crate) fn local_buffers<'a, T: Element>(
+        &self,
+        d: usize,
+        len: impl Fn(usize) -> usize,
+        src: impl Fn(usize, usize) -> &'a [T],
+    ) -> Vec<Vec<T>> {
+        (0..self.parts.len())
+            .map(|idx| {
+                let mut buf = vec![T::default(); len(idx)];
+                if let Some(&ti) = self.pair_transfer[idx].get(&(d, d)) {
+                    let src_local = src(idx, d);
+                    for run in &self.parts[idx].transfers()[ti].runs {
+                        if run.len == 0 {
+                            continue;
+                        }
+                        buf[run.dst_start..run.dst_start + run.len]
+                            .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
+                    }
+                }
+                buf
+            })
             .collect()
     }
-}
 
-/// Executes a fused `DISTRIBUTE`: every array is redistributed by its own
-/// part plan (copies run through `executor`), while the modelled
-/// communication is posted **once for the whole class** — a single message
-/// per processor pair — before any copy starts and completed after the last
-/// one finishes.
-///
-/// `arrays` must align with [`FusedPlan::parts`] (array `i` is moved by
-/// part `i`).  Returns one [`RedistReport`] per array, whose
-/// `messages`/`bytes` fields record what the array *would* have charged
-/// unfused (the per-array diagnostic), plus the fused [`ExecReport`] of
-/// what was actually charged to the tracker.
-///
-/// # Errors
-/// [`RuntimeError::FusionMismatch`] if `arrays` and parts disagree in
-/// length; [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`]
-/// if any part does not apply to its array (validated for *all* arrays
-/// before any data moves, so a failed fused execute changes nothing).
-pub fn execute_redistribute_fused<T: Element, E: PlanExecutor>(
-    arrays: &mut [&mut DistArray<T>],
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(Vec<RedistReport>, ExecReport)> {
-    fused.check_parts(
-        PlanKind::Redistribute,
-        "execute_redistribute_fused",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before moving anything.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        if !matches!(&part.index, PlanIndex::Redistribute { .. }) {
-            return Err(RuntimeError::PlanMismatch {
-                expected: part.src_fingerprint(),
-                found: array.dist().fingerprint(),
-            });
-        }
-        part.check_executable(array.dist(), tracker)?;
-    }
-
-    let mut reports = Vec::with_capacity(arrays.len());
-    let exec = execute_fused_parts(fused, tracker, T::BYTES, |idx, part| {
-        let array = &mut arrays[idx];
-        let PlanIndex::Redistribute { new_dist } = &part.index else {
-            unreachable!("validated above");
-        };
-        let mut dst_sizes = vec![0usize; part.total_procs()];
-        for &q in new_dist.proc_ids() {
-            dst_sizes[q.0] = new_dist.local_size(q);
-        }
-        let new_locals = executor.run_copies(part.transfers(), array.locals(), &dst_sizes, tracker);
-        array.replace(new_dist.clone(), new_locals);
-        array.broadcast_canonical();
-        reports.push(RedistReport {
-            moved_elements: part.moved_elements(),
-            stayed_elements: part.stayed_elements(),
-            messages: part.num_messages(),
-            bytes: part.bytes_for(T::BYTES),
-        });
-    });
-    Ok((reports, exec))
-}
-
-/// The shared charging skeleton of every fused execution: directory
-/// fetches complete first, the **single message per crossing pair** batch
-/// is posted, `copy_part(idx, part)` runs each part's copies (the whole
-/// class's copy seconds accumulate per destination), and the batch
-/// completes with the accumulated credit — so fused redistribution and
-/// fused ghost exchange can never drift apart in how they charge.
-pub(crate) fn execute_fused_parts(
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    elem_bytes: usize,
-    mut copy_part: impl FnMut(usize, &CommPlan),
-) -> ExecReport {
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(elem_bytes);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let pending = tracker.post_many(batch);
-    let mut fused_copy_secs: Vec<f64> = Vec::new();
-    for (idx, part) in fused.parts().iter().enumerate() {
-        copy_part(idx, part);
-        let part_secs = copy_seconds(part.transfers(), elem_bytes, tracker);
-        if fused_copy_secs.len() < part_secs.len() {
-            fused_copy_secs.resize(part_secs.len(), 0.0);
-        }
-        for (acc, s) in fused_copy_secs.iter_mut().zip(part_secs) {
-            *acc += s;
-        }
-    }
-    finish_with_copy_credit(tracker, pending, &fused_copy_secs);
-    ExecReport { messages, bytes }
-}
-
-// ---------------------------------------------------------------------------
-// Wire framing: sequence + length + checksum per fused wire message
-// ---------------------------------------------------------------------------
-
-/// Whether fused wire buffers are framed (sequence number, element count,
-/// checksum) and validated before unpack.  On by default; the only
-/// legitimate reason to turn framing off is measuring its cost
-/// (`benches/e10_faults.rs` guards it at ≤ 5% of the wire path).
-static WIRE_FRAMING: AtomicBool = AtomicBool::new(true);
-
-/// Monotonic sequence number stamped into each wire frame — lets a
-/// [`RuntimeError::CorruptMessage`] name the exact message that failed.
-static NEXT_WIRE_SEQ: AtomicU64 = AtomicU64::new(1);
-
-/// Enables or disables wire framing process-wide.
-///
-/// Bench-only: flipping this while exchanges are in flight is not
-/// synchronised with them — a message framed before the flip is still
-/// validated, one packed after it is not.
-pub fn set_wire_framing(enabled: bool) {
-    WIRE_FRAMING.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether wire framing is currently enabled.
-pub fn wire_framing_enabled() -> bool {
-    WIRE_FRAMING.load(Ordering::Relaxed)
-}
-
-/// The header a real backend would prepend to each fused wire message:
-/// enough to detect truncation (`elements`), corruption (`checksum`) and
-/// to identify the message in an error report (`seq`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WireFrame {
-    seq: u64,
-    elements: usize,
-    checksum: u64,
-}
-
-/// Per-exchange framing policy handed to the parallel copy jobs.
-///
-/// `seq_base` is a block of sequence numbers reserved with one
-/// uncontended caller-side `fetch_add` (pair `pi` gets `seq_base + pi`),
-/// so the destination jobs running on pool workers never bounce the
-/// shared counter's cache line between cores.
-///
-/// `verify` controls the receive-side checksum scan.  The simulated
-/// channel is process memory: a packed wire cannot change between frame
-/// and unpack unless a fault injector deliberately flips it, so — like a
-/// loopback interface marking packets `CHECKSUM_UNNECESSARY` — the scan
-/// runs only when a [`vf_machine::FaultInjector`] is attached to the
-/// tracker.  That keeps the fault-free framing cost to the sender-side
-/// checksum (the e10 bench guards it at ≤ 5%) while injected corruption
-/// is still *always* detected: an injector is the only way bits can flip
-/// in transit, and its presence switches verification on.
-#[derive(Debug, Clone, Copy)]
-struct WireFraming {
-    seq_base: u64,
-    verify: bool,
-}
-
-/// Checksum of a packed wire buffer: the xor of every element's stored bit
-/// pattern, with the length mixed in through an odd multiplier and one
-/// bijective multiplicative finisher.  The accumulation is GF(2)-linear in
-/// the payload bits — flipping any single bit flips exactly one bit of the
-/// accumulator, so injected single-bit corruption can never pass
-/// validation — and because the wire buffer is contiguous, the xor is one
-/// sequential sweep at cache speed ([`xor_bits`]), which is what keeps
-/// framing inside the e10 bench's 5% overhead guard.
-pub(crate) fn wire_checksum<T: Element>(wire: &[T]) -> u64 {
-    finish_checksum(xor_bits(wire), wire.len())
-}
-
-/// Reserves a block of `n` wire sequence numbers (one uncontended
-/// `fetch_add`) and returns the first — the same reservation scheme the
-/// in-process wire executors use, shared with the channel-backed sharded
-/// exchange so sequence numbers stay globally unique across backends.
-pub(crate) fn next_wire_seq_block(n: u64) -> u64 {
-    NEXT_WIRE_SEQ.fetch_add(n, Ordering::Relaxed)
-}
-
-/// Xor of the stored bit patterns of `xs`, eight lanes wide so the loop
-/// carries no serial dependency and vectorises.
-#[inline]
-fn xor_bits<T: Element>(xs: &[T]) -> u64 {
-    let mut lanes = [0u64; 8];
-    let mut chunks = xs.chunks_exact(8);
-    for chunk in &mut chunks {
-        for (lane, v) in lanes.iter_mut().zip(chunk) {
-            *lane ^= v.to_bits64();
-        }
-    }
-    let mut acc = lanes.into_iter().fold(0u64, |h, l| h ^ l);
-    for v in chunks.remainder() {
-        acc ^= v.to_bits64();
-    }
-    acc
-}
-
-/// Mixes the payload xor and the element count into the final checksum.
-#[inline]
-fn finish_checksum(acc: u64, len: usize) -> u64 {
-    (acc ^ 0xcbf2_9ce4_8422_2325u64 ^ (len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_mul(0x100_0000_01b3)
-}
-
-/// Validates an accumulated payload xor (and length) against a frame.
-fn check_frame(acc: u64, len: usize, frame: &WireFrame, src: usize, dst: usize) -> Result<()> {
-    if len != frame.elements || finish_checksum(acc, len) != frame.checksum {
-        return Err(RuntimeError::CorruptMessage {
-            src,
-            dst,
-            seq: frame.seq,
-        });
-    }
-    Ok(())
-}
-
-/// Frames a freshly packed wire buffer.
-fn frame_wire<T: Element>(wire: &[T]) -> WireFrame {
-    WireFrame {
-        seq: NEXT_WIRE_SEQ.fetch_add(1, Ordering::Relaxed),
-        elements: wire.len(),
-        checksum: wire_checksum(wire),
-    }
-}
-
-/// Validates a wire buffer against its frame: one contiguous
-/// [`xor_bits`] sweep checked by [`check_frame`].  Runs on the receive
-/// side before any unpack copy, so a corrupt payload never reaches a
-/// destination buffer.
-fn verify_wire<T: Element>(wire: &[T], frame: &WireFrame, src: usize, dst: usize) -> Result<()> {
-    check_frame(xor_bits(wire), wire.len(), frame, src, dst)
-}
-
-/// Draws one corruption decision from the tracker's fault injector and maps
-/// it onto a crossing pair of `fused`: returns the pair index into
-/// `fused.pair_elements`, plus the element seed and bit to flip.  Never
-/// arms when framing is disabled (the flip would be silently unpacked) or
-/// when the plan has no crossing traffic (nothing travels a wire).
-fn arm_corruption(fused: &FusedPlan, tracker: &CommTracker) -> Option<(usize, u64, u32)> {
-    if !wire_framing_enabled() {
-        return None;
-    }
-    let inj = tracker.fault_injector()?;
-    let crossing: Vec<usize> = fused
-        .pair_elements
-        .iter()
-        .enumerate()
-        .filter(|&(_, &((s, d), total))| s != d && total > 0)
-        .map(|(i, _)| i)
-        .collect();
-    if crossing.is_empty() {
-        return None;
-    }
-    let spec = inj.corrupt_wire()?;
-    let pi = crossing[(spec.pair_seed as usize) % crossing.len()];
-    Some((pi, spec.elem_seed, spec.bit))
-}
-
-/// The simulated per-part executors copy each part's runs straight from
-/// source to destination storage; a real machine instead **packs** every
-/// (sender → receiver) pair's payload into one contiguous wire buffer laid
-/// out by [`FusedPlan::wire_slices`], ships it as a single message, and
-/// **unpacks** it at the receiver by replaying each part's run list against
-/// the slice at its wire offset.  This engine performs exactly those two
-/// memcpy streams per pair (plus the direct copies of elements that stay
-/// local), so the produced buffers are bitwise identical to the per-part
-/// executors while the charged traffic is the same one-message-per-pair
-/// batch — only the copy work is reorganised from per-part scattered runs
-/// into per-pair contiguous streams.
-/// Produces destination processor `d`'s buffers for every part of a fused
-/// plan: direct copies for elements staying on `d`, then one pack →
-/// unpack stream per sending processor, all driven by the indexes
-/// [`FusedPlan::fuse`] precomputed (`pair_transfer`, `pairs_by_dst`) — no
-/// per-execute indexing.  Each destination is written by exactly one
-/// call, so calls for different destinations are embarrassingly parallel.
-/// `framing` frames each packed wire and (with `verify` set, i.e. with a
-/// fault injector attached) validates it before unpack; `sabotage` (from
-/// [`arm_corruption`]) flips one bit of one pair's wire after framing —
-/// the checksum failure is then repaired by restoring the pristine
-/// element, modelling a detected corruption answered by a
-/// retransmission.  An unrepairable mismatch aborts before any corrupt
-/// element reaches a destination buffer.
-fn wire_copy_for_dest<T: Element>(
-    fused: &FusedPlan,
-    srcs: &[&[Vec<T>]],
-    dst_sizes: &[Vec<usize>],
-    d: usize,
-    framing: Option<WireFraming>,
-    sabotage: Option<(usize, u64, u32)>,
-) -> Result<Vec<Vec<T>>> {
-    let parts = fused.parts();
-    // One span covers this destination's whole copy stream (local copies,
-    // pack, verify, unpack): per-destination is the granularity the pool
-    // dispatches at, and coarse enough that tracing a dispatch-dominated
-    // exchange stays within the e11 bench's enabled-overhead guard even on
-    // a single-core host (the split streaming path keeps per-pair spans —
-    // there the caller's overlapped compute absorbs the recording cost).
-    let _span = trace::OpenSpan::begin_dest(trace::Phase::Unpack, d);
-    let mut bufs: Vec<Vec<T>> = dst_sizes
-        .iter()
-        .map(|sizes| vec![T::default(); sizes.get(d).copied().unwrap_or(0)])
-        .collect();
-    // Elements that stay on `d` never touch a wire buffer.
-    for (idx, part) in parts.iter().enumerate() {
-        if let Some(&ti) = fused.pair_transfer[idx].get(&(d, d)) {
-            let t = &part.transfers()[ti];
-            let src_local = &srcs[idx][d];
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[idx][run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-            }
-        }
-    }
-    // One wire message per sending processor with traffic to `d`, walked
-    // through the precomputed per-destination pair lists.
-    let arriving = fused.pairs_by_dst.get(d).map_or(&[][..], |v| v);
-    for &pi in arriving {
-        let ((s, _), total) = fused.pair_elements[pi];
-        if s == d || total == 0 {
-            continue;
-        }
-        let slices = &fused.pair_slices[pi][..];
-        // Pack: every part's payload lands at its wire offset, runs in
-        // plan order — one contiguous buffer per pair, exactly the
-        // message a real backend would post.
-        let mut wire: Vec<T> = vec![T::default(); total];
-        for sl in slices {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-            let src_local = &srcs[sl.part][s];
+    /// Packs wire message `pi`: every part's payload lands at its wire
+    /// offset ([`FusedPlan::wire_slices`]), runs in plan order — one
+    /// contiguous buffer, exactly the message a real backend posts.
+    /// `src(part, proc)` is the sender's source segment of `part`.
+    pub(crate) fn pack<'a, T: Element>(
+        &self,
+        pi: usize,
+        src: impl Fn(usize, usize) -> &'a [T],
+    ) -> Vec<T> {
+        let ((s, d), total) = self.pair_elements[pi];
+        let mut wire = vec![T::default(); total];
+        for sl in &self.pair_slices[pi] {
+            let t = &self.parts[sl.part].transfers()[self.pair_transfer[sl.part][&(s, d)]];
+            let src_local = src(sl.part, s);
             let mut off = sl.wire_offset;
             for run in &t.runs {
                 if run.len == 0 {
@@ -1369,59 +1051,180 @@ fn wire_copy_for_dest<T: Element>(
             }
             debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
         }
-        // The frame checksum is one contiguous whole-buffer pass — cheaper
-        // than folding the xor into the scattered per-run copies, because
-        // plain run copies stay `memcpy` and the sequential sweep
-        // vectorises at cache speed (the e10 bench's 5% guard measures
-        // exactly this trade).
-        let frame = framing.map(|f| WireFrame {
-            seq: f.seq_base + pi as u64,
-            elements: total,
-            checksum: wire_checksum(&wire),
-        });
-        // Armed corruption flips one element *after* framing — in transit.
-        let mut sab_restore: Option<(usize, T)> = None;
-        if let Some((spi, elem_seed, bit)) = sabotage {
-            if spi == pi {
-                let e = (elem_seed as usize) % wire.len();
-                let orig = wire[e];
-                wire[e] = orig.flip_bit(bit);
-                sab_restore = Some((e, orig));
-            }
+        wire
+    }
+
+    /// Seals packed wire message `pi` into its frame: sequence number
+    /// `seq_base + pi` (from a [`next_wire_seq_block`] reservation), element
+    /// count and [`wire_checksum`] — one contiguous sweep after the pack,
+    /// cheaper than folding the xor into the scattered run copies because
+    /// plain run copies stay `memcpy`.
+    pub(crate) fn seal<T: Element>(&self, pi: usize, seq_base: u64, wire: &[T]) -> WireFrameMsg {
+        WireFrameMsg {
+            seq: seq_base + pi as u64,
+            elements: wire.len() as u64,
+            checksum: wire_checksum(wire),
         }
-        // Validate before any element reaches a destination buffer (see
-        // [`WireFraming::verify`] for when the scan runs).  A detected
-        // mismatch restores the pristine element (the payload a modelled
-        // retransmission carries) and revalidates; a failure that is not
-        // the armed flip is unrepairable.
-        if let (Some(frame), true) = (&frame, framing.is_some_and(|f| f.verify)) {
-            if verify_wire(&wire, frame, s, d).is_err() {
-                if let Some((e, orig)) = sab_restore {
-                    wire[e] = orig;
-                }
-                verify_wire(&wire, frame, s, d)?;
-                trace::instant(trace::Phase::CorruptionRepair);
-            }
+    }
+
+    /// Checks received wire message `pi` against its frame — length,
+    /// element count and checksum — before any element reaches a
+    /// destination buffer.
+    ///
+    /// # Errors
+    /// [`RuntimeError::CorruptMessage`] naming the pair and the frame's
+    /// sequence number.
+    pub(crate) fn check<T: Element>(
+        &self,
+        pi: usize,
+        wire: &[T],
+        frame: &WireFrameMsg,
+    ) -> Result<()> {
+        let ((src, dst), total) = self.pair_elements[pi];
+        if wire.len() != total
+            || frame.elements != total as u64
+            || wire_checksum(wire) != frame.checksum
+        {
+            return Err(RuntimeError::CorruptMessage {
+                src,
+                dst,
+                seq: frame.seq,
+            });
         }
-        // Unpack: replay the same run lists against the receiver's
-        // per-part buffers (ghost slots / new local offsets unchanged).
-        for sl in slices {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
+        Ok(())
+    }
+
+    /// Unpacks (already checked) wire message `pi` into the receiver's
+    /// per-part buffers `bufs[part]` by replaying each part's run list
+    /// against its slice of the wire — ghost slots and new local offsets
+    /// are the parts' own.
+    pub(crate) fn unpack<T: Element>(&self, pi: usize, wire: &[T], bufs: &mut [Vec<T>]) {
+        let ((s, d), _) = self.pair_elements[pi];
+        for sl in &self.pair_slices[pi] {
+            let t = &self.parts[sl.part].transfers()[self.pair_transfer[sl.part][&(s, d)]];
+            let buf = &mut bufs[sl.part];
             let mut off = sl.wire_offset;
             for run in &t.runs {
                 if run.len == 0 {
                     continue;
                 }
-                bufs[sl.part][run.dst_start..run.dst_start + run.len]
+                buf[run.dst_start..run.dst_start + run.len]
                     .copy_from_slice(&wire[off..off + run.len]);
                 off += run.len;
             }
         }
     }
-    Ok(bufs)
+}
+
+// ---------------------------------------------------------------------------
+// Wire framing: sequence + length + checksum per fused wire message
+// ---------------------------------------------------------------------------
+
+/// Monotonic sequence number stamped into each wire frame — lets a
+/// [`RuntimeError::CorruptMessage`] name the exact message that failed.
+static NEXT_WIRE_SEQ: AtomicU64 = AtomicU64::new(1);
+
+/// Reserves a block of `n` wire sequence numbers (one uncontended
+/// `fetch_add`) and returns the first: message `pi` of an exchange is
+/// sealed with `base + pi`, so the parallel pack jobs never bounce the
+/// shared counter's cache line between cores, and sequence numbers stay
+/// globally unique across every transport.
+pub(crate) fn next_wire_seq_block(n: u64) -> u64 {
+    NEXT_WIRE_SEQ.fetch_add(n, Ordering::Relaxed)
+}
+
+/// An injected in-transit corruption of one wire message of an in-memory
+/// exchange: message `pi` has one bit flipped after it was sealed.
+///
+/// The simulated channel is process memory, so a sealed wire can only
+/// change in transit when a [`vf_machine::FaultInjector`] flips it; that is
+/// also why the in-memory transports only run the receive-side
+/// [`FusedPlan::check`] with an injector attached (like a loopback
+/// interface marking packets `CHECKSUM_UNNECESSARY`), keeping the
+/// fault-free framing cost to the sender-side checksum.
+#[derive(Debug, Clone, Copy)]
+struct Corruption {
+    pi: usize,
+    elem_seed: u64,
+    bit: u32,
+}
+
+impl Corruption {
+    /// Draws one corruption decision from the tracker's fault injector and
+    /// maps it onto a wire message of `fused`.  An armed corruption is
+    /// detected and repaired at unpack, so the modelled retransmission of
+    /// that pair's payload is charged here, caller-side, keeping the
+    /// accounting deterministic whichever thread performs the repair.
+    /// Never arms when the plan sends no messages (nothing travels a wire).
+    fn arm(fused: &FusedPlan, tracker: &CommTracker, elem_bytes: usize) -> Option<Self> {
+        let inj = tracker.fault_injector()?;
+        if fused.num_messages() == 0 {
+            return None;
+        }
+        let spec = inj.corrupt_wire()?;
+        let pi = (spec.pair_seed as usize) % fused.num_messages();
+        let ((s, d), total) = fused.pair(pi);
+        tracker.record_fault();
+        tracker.charge_retransmissions(s, d, total * elem_bytes, 1);
+        Some(Self {
+            pi,
+            elem_seed: spec.elem_seed,
+            bit: spec.bit,
+        })
+    }
+
+    /// Flips the armed bit if `wire` is message `pi`, returning the
+    /// `(element, pristine value)` a modelled retransmission restores.
+    fn apply<T: Element>(&self, pi: usize, wire: &mut [T]) -> Option<(usize, T)> {
+        if pi != self.pi {
+            return None;
+        }
+        let e = (self.elem_seed as usize) % wire.len();
+        let orig = wire[e];
+        wire[e] = orig.flip_bit(self.bit);
+        Some((e, orig))
+    }
+}
+
+/// The receive side of the in-memory transports: checks wire message `pi`
+/// against its frame and, on a mismatch, restores the pristine element of
+/// an armed [`Corruption`] (the payload a modelled retransmission carries)
+/// and checks again.  A failure that is not the armed flip is
+/// unrepairable.
+fn check_or_repair<T: Element>(
+    fused: &FusedPlan,
+    pi: usize,
+    wire: &mut [T],
+    frame: &WireFrameMsg,
+    repair: Option<(usize, T)>,
+) -> Result<()> {
+    if fused.check(pi, wire, frame).is_ok() {
+        return Ok(());
+    }
+    if let Some((e, orig)) = repair {
+        wire[e] = orig;
+    }
+    fused.check(pi, wire, frame)?;
+    trace::instant(trace::Phase::CorruptionRepair);
+    Ok(())
+}
+
+/// Transposes destination-major buffers (`per_dest[d][part]`) into the
+/// part-major layout callers install (`out[part][d]`), part `idx` holding
+/// `procs[idx]` processor slots.
+pub(crate) fn part_major<T: Clone>(
+    per_dest: Vec<Vec<Vec<T>>>,
+    procs: &[usize],
+) -> Vec<Vec<Vec<T>>> {
+    let mut out: Vec<Vec<Vec<T>>> = procs.iter().map(|&n| vec![Vec::new(); n]).collect();
+    for (d, bufs) in per_dest.into_iter().enumerate() {
+        for (idx, buf) in bufs.into_iter().enumerate() {
+            if let Some(slot) = out[idx].get_mut(d) {
+                *slot = buf;
+            }
+        }
+    }
+    out
 }
 
 /// Per-processor seconds of the wire copy phase under the tracker's cost
@@ -1458,7 +1261,45 @@ pub(crate) fn wire_copy_seconds(
     secs
 }
 
-/// The charging + copy skeleton of the wire-packed fused executors: the
+/// Produces destination processor `d`'s buffers for every part of a fused
+/// plan through the codec: the stay-local copies, then one pack → seal →
+/// unpack stream per sending processor.  Each destination is written by
+/// exactly one call, so calls for different destinations are
+/// embarrassingly parallel.  With `verify` set (a fault injector is
+/// attached) each wire is checked before unpack and an armed `corruption`
+/// is repaired; an unrepairable mismatch aborts before any corrupt element
+/// reaches a destination buffer.
+fn wire_copy_for_dest<T: Element>(
+    fused: &FusedPlan,
+    srcs: &[&[Vec<T>]],
+    dst_sizes: &[Vec<usize>],
+    d: usize,
+    seq_base: u64,
+    verify: bool,
+    corruption: Option<Corruption>,
+) -> Result<Vec<Vec<T>>> {
+    // One span covers this destination's whole copy stream (local copies,
+    // pack, verify, unpack): per-destination is the granularity the pool
+    // dispatches at, and coarse enough that tracing a dispatch-dominated
+    // exchange stays within the e11 bench's enabled-overhead guard even on
+    // a single-core host (the split streaming path keeps per-pair spans —
+    // there the caller's overlapped compute absorbs the recording cost).
+    let _span = trace::OpenSpan::begin_dest(trace::Phase::Unpack, d);
+    let src = |idx: usize, p: usize| srcs[idx][p].as_slice();
+    let mut bufs = fused.local_buffers(d, |idx| dst_sizes[idx].get(d).copied().unwrap_or(0), src);
+    for &pi in fused.arriving(d) {
+        let mut wire = fused.pack(pi, src);
+        let frame = fused.seal(pi, seq_base, &wire);
+        let repair = corruption.and_then(|c| c.apply(pi, &mut wire));
+        if verify {
+            check_or_repair(fused, pi, &mut wire, &frame, repair)?;
+        }
+        fused.unpack(pi, &wire, &mut bufs);
+    }
+    Ok(bufs)
+}
+
+/// The blocking shared-memory transport of the fused wire exchange: the
 /// single-message-per-pair batch is posted, every destination's pack →
 /// unpack streams run through `executor` (one work item per destination,
 /// parallelised by the pooled backend above its cutoff), and the batch
@@ -1477,34 +1318,15 @@ pub(crate) fn execute_fused_wire<T: Element, E: PlanExecutor>(
     srcs: &[&[Vec<T>]],
     dst_sizes: &[Vec<usize>],
 ) -> Result<(Vec<Vec<Vec<T>>>, ExecReport)> {
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(T::BYTES);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let post = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-    let pending = tracker.post_many(batch);
-    post.end();
-    let framing = wire_framing_enabled().then(|| WireFraming {
-        seq_base: NEXT_WIRE_SEQ.fetch_add(fused.pair_elements.len() as u64, Ordering::Relaxed),
-        verify: tracker.fault_injector().is_some(),
-    });
-    let sabotage = arm_corruption(fused, tracker);
-    if let Some((pi, _, _)) = sabotage {
-        // The flip below is detected and repaired at unpack; charge the
-        // modelled retransmission of that pair's payload now, caller-side,
-        // so the accounting is deterministic regardless of which thread
-        // performs the repair.
-        let ((s, d), total) = fused.pair_elements[pi];
-        tracker.record_fault();
-        tracker.charge_retransmissions(s, d, total * T::BYTES, 1);
-    }
+    let (pending, report) = fused.post(tracker, T::BYTES);
+    let seq_base = next_wire_seq_block(fused.num_messages() as u64);
+    let verify = tracker.fault_injector().is_some();
+    let corruption = Corruption::arm(fused, tracker, T::BYTES);
     // Pack + unpack touch every crossing element twice; stayed elements
     // copy once.  This volume drives the threaded backend's cutoff.
     let copy_bytes = (2 * fused.moved_elements() + fused.stayed_elements()) * T::BYTES;
-    let per_dest = executor.run_indexed(fused.pairs_by_dst.len(), copy_bytes, tracker, |d| {
-        wire_copy_for_dest(fused, srcs, dst_sizes, d, framing, sabotage)
+    let per_dest = executor.run_indexed(fused.procs(), copy_bytes, tracker, |d| {
+        wire_copy_for_dest(fused, srcs, dst_sizes, d, seq_base, verify, corruption)
     });
     // Settle the posted batch before any `?` — charges must never leak on
     // the corrupt-message path.
@@ -1515,46 +1337,38 @@ pub(crate) fn execute_fused_wire<T: Element, E: PlanExecutor>(
         &wire_copy_seconds(fused, T::BYTES, tracker),
     );
     wait.end();
-    // Transpose the destination-major results into per-part buffers.
-    let mut out: Vec<Vec<Vec<T>>> = dst_sizes
-        .iter()
-        .map(|sizes| vec![Vec::new(); sizes.len()])
-        .collect();
-    for (d, bufs) in per_dest.into_iter().enumerate() {
-        for (idx, buf) in bufs?.into_iter().enumerate() {
-            if d < out[idx].len() {
-                out[idx][d] = buf;
-            }
-        }
-    }
-    Ok((out, ExecReport { messages, bytes }))
+    let per_dest = per_dest.into_iter().collect::<Result<Vec<_>>>()?;
+    let procs: Vec<usize> = dst_sizes.iter().map(Vec::len).collect();
+    Ok((part_major(per_dest, &procs), report))
 }
 
-/// [`execute_redistribute_fused`] through the **wire-layout** path: every
-/// crossing processor pair's payload is packed into one contiguous wire
-/// buffer (laid out by [`FusedPlan::wire_slices`]), charged as exactly one
-/// message, and unpacked at the destination — per-pair memcpy streams
-/// instead of per-part scattered copies, with the pack/unpack phases run
-/// through `executor` and credited as copy-overlap compute.  Buffers,
-/// reports and charged traffic are bitwise identical to
-/// [`execute_redistribute_fused`]; only the copy organisation differs.
-///
-/// # Errors
-/// Exactly as [`execute_redistribute_fused`]: everything is validated
-/// before any data moves.
-pub fn execute_redistribute_fused_wire<T: Element, E: PlanExecutor>(
-    arrays: &mut [&mut DistArray<T>],
+/// The per-processor destination sizes of a redistribution part: the new
+/// distribution's local sizes, zero on processors outside it.
+fn redistribute_sizes(part: &CommPlan, new_dist: &vf_dist::Distribution) -> Vec<usize> {
+    let mut sizes = vec![0usize; part.total_procs()];
+    for &q in new_dist.proc_ids() {
+        sizes[q.0] = new_dist.local_size(q);
+    }
+    sizes
+}
+
+/// The target of each array of a fused redistribution: its new
+/// distribution and per-processor destination sizes.
+pub(crate) type RedistTargets = (Vec<vf_dist::Distribution>, Vec<Vec<usize>>);
+
+/// Validates a fused redistribution of `arrays` before anything moves or is
+/// charged — the fusion must be a redistribution with one part per array,
+/// and every part must apply to its array — and returns the targets.  Every
+/// transport of a fused `DISTRIBUTE` (`caller`) runs this first.
+pub(crate) fn redistribute_targets<T: Element>(
+    arrays: &[&mut DistArray<T>],
     fused: &FusedPlan,
     tracker: &CommTracker,
-    executor: &E,
-) -> Result<(Vec<RedistReport>, ExecReport)> {
-    fused.check_parts(
-        PlanKind::Redistribute,
-        "execute_redistribute_fused_wire",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before moving anything.
+    caller: &str,
+) -> Result<RedistTargets> {
+    fused.check_parts(PlanKind::Redistribute, caller, arrays.len())?;
     let mut new_dists = Vec::with_capacity(arrays.len());
+    let mut dst_sizes = Vec::with_capacity(arrays.len());
     for (array, part) in arrays.iter().zip(fused.parts()) {
         let PlanIndex::Redistribute { new_dist } = &part.index else {
             return Err(RuntimeError::PlanMismatch {
@@ -1563,41 +1377,71 @@ pub fn execute_redistribute_fused_wire<T: Element, E: PlanExecutor>(
             });
         };
         part.check_executable(array.dist(), tracker)?;
+        dst_sizes.push(redistribute_sizes(part, new_dist));
         new_dists.push(new_dist.clone());
     }
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .zip(&new_dists)
-        .map(|(part, new_dist)| {
-            let mut sizes = vec![0usize; part.total_procs()];
-            for &q in new_dist.proc_ids() {
-                sizes[q.0] = new_dist.local_size(q);
-            }
-            sizes
-        })
-        .collect();
-    let (bufs, exec) = {
-        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-        execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes)?
-    };
-    let mut reports = Vec::with_capacity(arrays.len());
-    for (((array, part), new_dist), locals) in arrays
+    Ok((new_dists, dst_sizes))
+}
+
+/// Installs the new locals of a fused redistribution (broadcasting to
+/// replicated copies) and returns one [`RedistReport`] per array with what
+/// the array *would* have charged unfused.
+pub(crate) fn install_redistributed<T: Element>(
+    arrays: &mut [&mut DistArray<T>],
+    fused: &FusedPlan,
+    new_dists: Vec<vf_dist::Distribution>,
+    bufs: Vec<Vec<Vec<T>>>,
+) -> Vec<RedistReport> {
+    arrays
         .iter_mut()
         .zip(fused.parts())
         .zip(new_dists)
         .zip(bufs)
-    {
-        array.replace(new_dist, locals);
-        array.broadcast_canonical();
-        reports.push(RedistReport {
-            moved_elements: part.moved_elements(),
-            stayed_elements: part.stayed_elements(),
-            messages: part.num_messages(),
-            bytes: part.bytes_for(T::BYTES),
-        });
-    }
-    Ok((reports, exec))
+        .map(|(((array, part), new_dist), locals)| {
+            array.replace(new_dist, locals);
+            array.broadcast_canonical();
+            RedistReport {
+                moved_elements: part.moved_elements(),
+                stayed_elements: part.stayed_elements(),
+                messages: part.num_messages(),
+                bytes: part.bytes_for(T::BYTES),
+            }
+        })
+        .collect()
+}
+
+/// Executes a fused `DISTRIBUTE` through the **wire-layout** path: every
+/// crossing processor pair's payload is packed into one contiguous wire
+/// buffer (laid out by [`FusedPlan::wire_slices`]), charged as exactly one
+/// message for the whole class, and unpacked at the destination, with the
+/// pack/unpack phases run through `executor` and credited as copy-overlap
+/// compute.  The buffers are bitwise those of redistributing each array on
+/// its own plan; only the message count drops.
+///
+/// `arrays` must align with [`FusedPlan::parts`] (array `i` is moved by
+/// part `i`).  Returns one [`RedistReport`] per array, whose
+/// `messages`/`bytes` fields record what the array *would* have charged
+/// unfused (the per-array diagnostic), plus the fused [`ExecReport`] of
+/// what was actually charged to the tracker.
+///
+/// # Errors
+/// [`RuntimeError::FusionMismatch`] if `arrays` and parts disagree in
+/// length; [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`]
+/// if any part does not apply to its array (validated for *all* arrays
+/// before any data moves, so a failed fused execute changes nothing).
+pub fn execute_redistribute_fused_wire<T: Element, E: PlanExecutor>(
+    arrays: &mut [&mut DistArray<T>],
+    fused: &FusedPlan,
+    tracker: &CommTracker,
+    executor: &E,
+) -> Result<(Vec<RedistReport>, ExecReport)> {
+    let (new_dists, dst_sizes) =
+        redistribute_targets(arrays, fused, tracker, "execute_redistribute_fused_wire")?;
+    let (bufs, exec) = {
+        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
+        execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes)?
+    };
+    Ok((install_redistributed(arrays, fused, new_dists, bufs), exec))
 }
 
 // ---------------------------------------------------------------------------
@@ -1626,36 +1470,35 @@ pub struct SplitExecReport {
 }
 
 /// The owned state a split-phase unpack job streams through: packed wire
-/// buffers in, per-(part, destination) buffers out.  Fully `'static` —
+/// buffers in, per-(destination, part) buffers out.  Fully `'static` —
 /// packing and the stay-local copies read the *borrowed* sources at post
 /// time on the caller thread, so nothing in here borrows the arrays.
 struct SplitShared<T> {
     fused: FusedPlan,
-    /// Indices into `fused.pair_elements` of the crossing pairs with
-    /// traffic — the independent unpack work items.
-    crossing: Vec<usize>,
-    /// Packed wire buffer per crossing pair (aligned with `crossing`).
-    /// Behind a mutex so the unpacking rank can repair an injected
+    /// Packed wire buffer per wire message — the independent unpack work
+    /// items.  Behind a mutex so the unpacking rank can repair an injected
     /// corruption in place (one uncontended lock per item — each item is
     /// claimed by exactly one rank at a time).
     wires: Vec<Mutex<Vec<T>>>,
-    /// Wire frame per crossing pair (`None` with framing disabled),
-    /// validated by the claiming rank before the pair is unpacked.
-    frames: Vec<Option<WireFrame>>,
-    /// Whether claiming ranks run the receive-side checksum scan — set
-    /// iff a fault injector is attached (see [`WireFraming::verify`]).
+    /// Frame per wire message, checked by the claiming rank before the
+    /// pair is unpacked.
+    frames: Vec<WireFrameMsg>,
+    /// Whether claiming ranks run the receive-side check — set iff a fault
+    /// injector is attached (see [`Corruption`]).
     verify: bool,
-    /// The armed corruption, if any: which item was flipped and the
-    /// pristine element a modelled retransmission restores.
-    sabotage: Option<SplitSabotage<T>>,
+    /// The armed corruption, if any: which message was flipped and the
+    /// `(element, pristine value)` a modelled retransmission restores.
+    repair: Option<(usize, (usize, T))>,
     /// Background rank armed to die (panic) before its first unpack —
     /// never rank 0, which is the caller.
     die_rank: Option<usize>,
-    /// Destination buffers, `bufs[part][proc]` — mutexes only hand `&mut`
-    /// access through the shared job; pairs into one destination write
-    /// pairwise-disjoint runs, so there is no contention on the data.
-    bufs: Vec<Vec<Mutex<Vec<T>>>>,
-    /// Next unclaimed index into `crossing` (work stealing).
+    /// Destination buffers, `bufs[proc][part]` — the mutex only hands
+    /// `&mut` access through the shared job; one claimed pair unpacks
+    /// under one uncontended lock of its destination.
+    bufs: Vec<Mutex<Vec<Vec<T>>>>,
+    /// Processor slots of each part (the part-major shape `wait` returns).
+    part_procs: Vec<usize>,
+    /// Next unclaimed wire message (work stealing).
     claim: AtomicUsize,
     /// Crossing pairs not yet unpacked, per destination processor —
     /// per-pair completion, so a consumer can wait for one destination
@@ -1679,48 +1522,39 @@ struct SplitShared<T> {
     help_nanos: AtomicU64,
 }
 
-/// The armed wire corruption of a split exchange: item `item` of the
-/// crossing list had element `elem` bit-flipped after framing; `orig` is
-/// the pristine value the repair (modelled retransmission) restores.
-struct SplitSabotage<T> {
-    item: usize,
-    elem: usize,
-    orig: T,
-}
-
 /// Panic payload of a simulated worker death — distinguishes injected
 /// deaths from real unpack bugs only in intent: both are contained the
 /// same way (the rank stops claiming, its item is handed to the caller).
 struct SimulatedWorkerDeath;
 
 impl<T: Element> SplitShared<T> {
-    /// Unpacks crossing pair `crossing[k]` into its destination's per-part
-    /// buffers — the unpack half of [`wire_copy_for_dest`], run by
-    /// whichever rank claimed the item.  A framed wire is validated
-    /// ([`verify_wire`]) before any unpack copy; a checksum failure
-    /// matching the armed sabotage is repaired by restoring the pristine
-    /// element (modelled retransmission) and revalidating, anything still
-    /// failing is recorded as fatal and the pair is never unpacked — the
-    /// wait reports the error and no corrupt element reaches a caller.
-    fn unpack_claimed(&self, k: usize, pi: usize) {
-        let ((s, d), _) = self.fused.pair_elements[pi];
+    /// Unpacks wire message `pi` into its destination's per-part buffers —
+    /// the receive half of [`wire_copy_for_dest`], run by whichever rank
+    /// claimed the item.  With `verify` set the wire is checked before any
+    /// unpack copy and an armed corruption repaired ([`check_or_repair`]);
+    /// anything still failing is recorded as fatal and the pair is never
+    /// unpacked — the wait reports the error and no corrupt element reaches
+    /// a caller.
+    fn unpack_claimed(&self, pi: usize) {
+        let ((s, d), _) = self.fused.pair(pi);
         let _span = trace::OpenSpan::begin_pair(trace::Phase::Unpack, s, d);
         {
-            let mut wire = self.wires[k].lock().unwrap_or_else(PoisonError::into_inner);
-            let valid = match &self.frames[k] {
-                Some(frame) if self.verify => verify_wire(&wire, frame, s, d).or_else(|_| {
-                    if let Some(sab) = &self.sabotage {
-                        if sab.item == k {
-                            wire[sab.elem] = sab.orig;
-                        }
-                    }
-                    verify_wire(&wire, frame, s, d)
-                        .map(|()| trace::instant(trace::Phase::CorruptionRepair))
-                }),
-                _ => Ok(()),
+            let mut wire = self.wires[pi]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let valid = if self.verify {
+                let repair = self.repair.filter(|r| r.0 == pi).map(|r| r.1);
+                check_or_repair(&self.fused, pi, &mut wire, &self.frames[pi], repair)
+            } else {
+                Ok(())
             };
             match valid {
-                Ok(()) => self.unpack_pair(pi, s, d, &wire),
+                Ok(()) => {
+                    if let Some(cell) = self.bufs.get(d) {
+                        let mut bufs = cell.lock().unwrap_or_else(PoisonError::into_inner);
+                        self.fused.unpack(pi, &wire, &mut bufs);
+                    }
+                }
                 Err(e) => {
                     *self.fatal.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
                 }
@@ -1731,31 +1565,6 @@ impl<T: Element> SplitShared<T> {
         // A fatal frame failure still counts as delivered so waiters never
         // spin on a destination that can no longer complete.
         self.remaining_by_dst[d].fetch_sub(1, Ordering::Release);
-    }
-
-    /// One replay of pair `pi`'s run lists from its (already validated)
-    /// wire into the destination buffers.
-    fn unpack_pair(&self, pi: usize, s: usize, d: usize, wire: &[T]) {
-        for sl in &self.fused.pair_slices[pi] {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &self.fused.parts()[sl.part].transfers()
-                [self.fused.pair_transfer[sl.part][&(s, d)]];
-            let Some(cell) = self.bufs[sl.part].get(d) else {
-                continue;
-            };
-            let mut buf = cell.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                buf[run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&wire[off..off + run.len]);
-                off += run.len;
-            }
-        }
     }
 
     /// Claims and unpacks items until none are left — the pool job body
@@ -1774,22 +1583,22 @@ impl<T: Element> SplitShared<T> {
             &self.background_nanos
         };
         loop {
-            let k = self.claim.fetch_add(1, Ordering::Relaxed);
-            let Some(&pi) = self.crossing.get(k) else {
+            let pi = self.claim.fetch_add(1, Ordering::Relaxed);
+            if pi >= self.wires.len() {
                 break;
-            };
+            }
             let t0 = Instant::now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if self.die_rank == Some(rank) {
                     std::panic::panic_any(SimulatedWorkerDeath);
                 }
-                self.unpack_claimed(k, pi);
+                self.unpack_claimed(pi);
             }));
             if outcome.is_err() {
                 self.abandoned
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .push(k);
+                    .push(pi);
                 self.died.store(true, Ordering::Release);
                 break;
             }
@@ -1808,12 +1617,11 @@ impl<T: Element> SplitShared<T> {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .pop();
-            let Some(k) = next else {
+            let Some(pi) = next else {
                 break;
             };
-            let pi = self.crossing[k];
             let t0 = Instant::now();
-            self.unpack_claimed(k, pi);
+            self.unpack_claimed(pi);
             self.help_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
@@ -1827,11 +1635,11 @@ impl<T: Element> SplitShared<T> {
             return;
         };
         while remaining.load(Ordering::Acquire) > 0 {
-            if self.claim.load(Ordering::Relaxed) <= self.crossing.len() {
-                let k = self.claim.fetch_add(1, Ordering::Relaxed);
-                if let Some(&pi) = self.crossing.get(k) {
+            if self.claim.load(Ordering::Relaxed) <= self.wires.len() {
+                let pi = self.claim.fetch_add(1, Ordering::Relaxed);
+                if pi < self.wires.len() {
                     let t0 = Instant::now();
-                    self.unpack_claimed(k, pi);
+                    self.unpack_claimed(pi);
                     self.help_nanos
                         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     continue;
@@ -1931,10 +1739,10 @@ impl<T: Element> SplitPhaseExchange<'_, T> {
     /// Call [`SplitPhaseExchange::wait_dest`]`(d)` first — the lock hands
     /// out the buffer whether or not its pairs have all landed.
     pub fn with_dest_mut<R>(&self, part: usize, d: usize, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-        let mut buf = self.shared.bufs[part][d]
+        let mut bufs = self.shared.bufs[d]
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        f(&mut buf)
+        f(&mut bufs[part])
     }
 
     /// Drains the streaming job to completion: measures the overlap,
@@ -2022,18 +1830,13 @@ impl<T: Element> SplitPhaseExchange<'_, T> {
         let shared = Arc::try_unwrap(shared)
             .ok()
             .expect("job complete: the ticket held the only other reference");
-        let bufs = shared
+        let per_dest = shared
             .bufs
             .into_iter()
-            .map(|per_proc| {
-                per_proc
-                    .into_iter()
-                    .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner))
-                    .collect()
-            })
+            .map(|cell| cell.into_inner().unwrap_or_else(PoisonError::into_inner))
             .collect();
         Ok((
-            bufs,
+            part_major(per_dest, &shared.part_procs),
             SplitExecReport {
                 messages,
                 bytes,
@@ -2082,108 +1885,40 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     srcs: &[&[Vec<T>]],
     dst_sizes: &[Vec<usize>],
 ) -> SplitPhaseExchange<'e, T> {
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(T::BYTES);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let post_span = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-    let pending = tracker.post_many(batch);
-    post_span.end();
+    let (pending, report) = fused.post(tracker, T::BYTES);
     let copy_secs = wire_copy_seconds(&fused, T::BYTES, tracker);
 
-    // Destination buffers (default-filled) with the stay-local runs copied
-    // in now — exactly the local half of `wire_copy_for_dest`.
+    // Destination buffers with the stay-local runs copied in, then every
+    // wire message packed and sealed over its pristine payload — all
+    // reading the borrowed sources caller-side.
     let pack_span = trace::OpenSpan::begin_static(trace::Phase::WirePack, "split pack");
-    let mut bufs: Vec<Vec<Mutex<Vec<T>>>> = Vec::with_capacity(fused.parts().len());
-    for (idx, sizes) in dst_sizes.iter().enumerate() {
-        let part = &fused.parts()[idx];
-        let mut per_proc = Vec::with_capacity(sizes.len());
-        for (d, &len) in sizes.iter().enumerate() {
-            let mut buf = vec![T::default(); len];
-            if let Some(&ti) = fused.pair_transfer[idx].get(&(d, d)) {
-                let src_local = &srcs[idx][d];
-                for run in &part.transfers()[ti].runs {
-                    if run.len == 0 {
-                        continue;
-                    }
-                    buf[run.dst_start..run.dst_start + run.len]
-                        .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-                }
-            }
-            per_proc.push(Mutex::new(buf));
-        }
-        bufs.push(per_proc);
-    }
-
-    // Pack every crossing pair's wire buffer — the pack half of
-    // `wire_copy_for_dest`, reading the borrowed sources caller-side.
-    let crossing: Vec<usize> = fused
-        .pair_elements
-        .iter()
-        .enumerate()
-        .filter(|&(_, &((s, d), total))| s != d && total > 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut wires: Vec<Vec<T>> = crossing
-        .iter()
-        .map(|&pi| {
-            let ((s, d), total) = fused.pair_elements[pi];
-            let mut wire = vec![T::default(); total];
-            for sl in &fused.pair_slices[pi] {
-                if sl.elements == 0 {
-                    continue;
-                }
-                let t = &fused.parts()[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-                let src_local = &srcs[sl.part][s];
-                let mut off = sl.wire_offset;
-                for run in &t.runs {
-                    if run.len == 0 {
-                        continue;
-                    }
-                    wire[off..off + run.len]
-                        .copy_from_slice(&src_local[run.src_start..run.src_start + run.len]);
-                    off += run.len;
-                }
-                debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
-            }
-            wire
+    let src = |idx: usize, p: usize| srcs[idx][p].as_slice();
+    let bufs: Vec<Mutex<Vec<Vec<T>>>> = (0..fused.procs())
+        .map(|d| {
+            Mutex::new(fused.local_buffers(
+                d,
+                |idx| dst_sizes[idx].get(d).copied().unwrap_or(0),
+                src,
+            ))
         })
         .collect();
-
-    // Frame each wire over its pristine payload, then arm any injected
-    // corruption: flip one bit of one wire, remember the pristine element
-    // (the repair is a modelled retransmission, charged now, caller-side,
-    // so the accounting is deterministic whichever rank unpacks the item).
-    let framing = wire_framing_enabled();
-    let frames: Vec<Option<WireFrame>> = if framing {
-        wires.iter().map(|w| Some(frame_wire(w))).collect()
-    } else {
-        vec![None; wires.len()]
-    };
+    let n = fused.num_messages();
+    let seq_base = next_wire_seq_block(n as u64);
+    let mut wires: Vec<Vec<T>> = (0..n).map(|pi| fused.pack(pi, src)).collect();
+    let frames: Vec<WireFrameMsg> = wires
+        .iter()
+        .enumerate()
+        .map(|(pi, w)| fused.seal(pi, seq_base, w))
+        .collect();
     pack_span.end();
-    let sabotage = arm_corruption(&fused, tracker).map(|(pi, elem_seed, bit)| {
-        let k = crossing
-            .iter()
-            .position(|&c| c == pi)
-            .expect("corruption is only armed on a crossing pair");
-        let e = (elem_seed as usize) % wires[k].len();
-        let orig = wires[k][e];
-        wires[k][e] = orig.flip_bit(bit);
-        let ((s, d), total) = fused.pair_elements[pi];
-        tracker.record_fault();
-        tracker.charge_retransmissions(s, d, total * T::BYTES, 1);
-        SplitSabotage {
-            item: k,
-            elem: e,
-            orig,
-        }
-    });
+    // Arm any injected corruption: flip one bit of one sealed wire and
+    // remember the pristine element for the claiming rank's repair.
+    let repair = Corruption::arm(&fused, tracker, T::BYTES)
+        .and_then(|c| c.apply(c.pi, &mut wires[c.pi]).map(|r| (c.pi, r)));
 
-    let mut remaining = vec![0usize; fused.pairs_by_dst.len()];
-    for &pi in &crossing {
-        remaining[fused.pair_elements[pi].0 .1] += 1;
+    let mut remaining = vec![0usize; fused.procs()];
+    for (d, count) in remaining.iter_mut().enumerate() {
+        *count = fused.arriving(d).len();
     }
     let unpack_bytes = fused.moved_elements() * T::BYTES;
 
@@ -2191,10 +1926,8 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     // on and the volume clears the backend's cutoff; otherwise unpack
     // inline now (no overlap, identical results).
     let streaming_pool = match backend {
-        ExecBackend::Threaded(t)
-            if !crossing.is_empty() && unpack_bytes >= t.effective_serial_cutoff() =>
-        {
-            t.pool().filter(|p| p.workers() > 1)
+        ExecBackend::Threaded(t) if n > 0 && unpack_bytes >= t.effective_serial_cutoff() => {
+            Some(t.pool()).filter(|p| p.workers() > 1)
         }
         _ => None,
     };
@@ -2218,7 +1951,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
                     inj.mark_worker_dead();
                     tracker.record_fault();
                     tracker.record_fallback();
-                    let width = 1 + crossing.len().min(pool.workers() - 1);
+                    let width = 1 + n.min(pool.workers() - 1);
                     die_rank = Some(1 + inj.pick(width - 1));
                 }
                 Some(pool)
@@ -2229,13 +1962,13 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
 
     let shared = Arc::new(SplitShared {
         fused,
-        crossing,
         wires: wires.into_iter().map(Mutex::new).collect(),
         frames,
         verify: tracker.fault_injector().is_some(),
-        sabotage,
+        repair,
         die_rank,
         bufs,
+        part_procs: dst_sizes.iter().map(Vec::len).collect(),
         claim: AtomicUsize::new(0),
         remaining_by_dst: remaining.into_iter().map(AtomicUsize::new).collect(),
         abandoned: Mutex::new(Vec::new()),
@@ -2249,7 +1982,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
             let job = Arc::clone(&shared);
             // Rank 0 (the caller) helps at the wait; wake only as many
             // background ranks as there are pairs to unpack.
-            let width = 1 + shared.crossing.len().min(pool.workers() - 1);
+            let width = 1 + n.min(pool.workers() - 1);
             Some(pool.submit(width, Arc::new(move |rank| job.drain(rank))))
         }
         None => {
@@ -2257,13 +1990,14 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
             None
         }
     };
+    let messages = report.messages;
     SplitPhaseExchange {
         shared,
         ticket,
         pending: Some(pending),
         copy_secs,
         messages,
-        bytes,
+        bytes: report.bytes,
         tracker: tracker.clone(),
         posted_at: Instant::now(),
         span: Some(trace::OpenSpan::begin_with(
@@ -2395,12 +2129,8 @@ pub fn redistribute_split<'e, T: Element>(
     let fused = FusedPlan::fuse(vec![plan])?;
     let (dst_sizes, src_fingerprint, moved, stayed, plan_messages, plan_bytes) = {
         let part = &fused.parts()[0];
-        let mut sizes = vec![0usize; part.total_procs()];
-        for &q in new_dist.proc_ids() {
-            sizes[q.0] = new_dist.local_size(q);
-        }
         (
-            sizes,
+            redistribute_sizes(part, &new_dist),
             part.src_fingerprint(),
             part.moved_elements(),
             part.stayed_elements(),
@@ -2451,10 +2181,17 @@ mod tests {
         (flat, report, tracker.snapshot())
     }
 
+    /// A threaded executor over a private `workers`-wide pool, forced onto
+    /// the threaded path regardless of plan size.
+    fn forced_threaded(workers: usize) -> ThreadedExecutor {
+        ThreadedExecutor::with_pool(Arc::new(vf_machine::WorkerPool::new(workers)))
+            .with_serial_cutoff(0)
+    }
+
     #[test]
     fn threaded_buffers_and_charges_match_serial() {
         let serial = redistribute_with(&SerialExecutor, 64, 4);
-        let forced = ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0);
+        let forced = forced_threaded(3);
         let threaded = redistribute_with(&forced, 64, 4);
         assert_eq!(serial.0, threaded.0, "copied buffers differ");
         assert_eq!(serial.1, threaded.1, "charged totals differ");
@@ -2468,22 +2205,15 @@ mod tests {
         // Below the cutoff the threaded executor degrades to the serial
         // loop; the observable behaviour is identical either way, so this
         // only checks the configuration plumbing.
-        let t = ThreadedExecutor::with_workers(4);
+        let t = ThreadedExecutor::with_pool(Arc::new(vf_machine::WorkerPool::new(4)));
         assert_eq!(
             t.effective_serial_cutoff(),
-            ThreadedExecutor::DEFAULT_SERIAL_CUTOFF_BYTES
-        );
-        assert_eq!(t.workers(), 4);
-        assert!(t.pool().is_none(), "with_workers is the fresh-spawn mode");
-        // Attaching a pool drops the default cutoff to the pooled
-        // crossover; an explicit override always wins.
-        let pooled = t.clone().pooled(vf_machine::pool::global());
-        assert_eq!(
-            pooled.effective_serial_cutoff(),
             ThreadedExecutor::DEFAULT_POOLED_CUTOFF_BYTES
         );
-        assert!(pooled.pool().is_some());
-        assert_eq!(pooled.with_serial_cutoff(7).effective_serial_cutoff(), 7);
+        assert_eq!(t.workers(), 4);
+        assert_eq!(t.pool().workers(), 4);
+        // An explicit override always wins.
+        assert_eq!(t.with_serial_cutoff(7).effective_serial_cutoff(), 7);
         let auto = ExecBackend::auto();
         match auto {
             ExecBackend::Threaded(t) => assert!(t.workers() > 1),
@@ -2521,21 +2251,16 @@ mod tests {
         let t_serial = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
         let (serial, rs) = SerialExecutor.execute(&plan, a.locals(), &dst_sizes, &t_serial, true);
         for workers in [2, 3, 5] {
-            // Both dispatch modes must split the hot destination
-            // identically: the fresh-spawn scoped threads and the
-            // persistent pool.
-            let pool = Arc::new(vf_machine::WorkerPool::new(workers));
-            for forced in [
-                ThreadedExecutor::with_workers(workers).serial_cutoff_bytes(0),
-                ThreadedExecutor::with_pool(Arc::clone(&pool)).serial_cutoff_bytes(0),
-            ] {
-                let t_thr = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
-                let (threaded, rt) = forced.execute(&plan, a.locals(), &dst_sizes, &t_thr, true);
-                assert_eq!(serial, threaded, "buffers differ with {workers} workers");
-                assert_eq!(rs, rt);
-                assert_eq!(t_serial.snapshot(), t_thr.snapshot());
-            }
-            assert!(pool.jobs_dispatched() > 0, "pooled run used the pool");
+            let forced = forced_threaded(workers);
+            let t_thr = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.25));
+            let (threaded, rt) = forced.execute(&plan, a.locals(), &dst_sizes, &t_thr, true);
+            assert_eq!(serial, threaded, "buffers differ with {workers} workers");
+            assert_eq!(rs, rt);
+            assert_eq!(t_serial.snapshot(), t_thr.snapshot());
+            assert!(
+                forced.pool().jobs_dispatched() > 0,
+                "pooled run used the pool"
+            );
         }
         // A partial hot receiver (most but not all traffic to P1, scattered
         // run layout) exercises the gap-preserving split path too.
@@ -2548,7 +2273,7 @@ mod tests {
             dst_sizes[q.0] = to.local_size(q);
         }
         let (serial, _) = SerialExecutor.execute(&plan, a.locals(), &dst_sizes, &t_serial, true);
-        let forced = ThreadedExecutor::with_workers(4).serial_cutoff_bytes(0);
+        let forced = forced_threaded(4);
         let (threaded, _) = forced.execute(&plan, a.locals(), &dst_sizes, &t_serial, true);
         assert_eq!(serial, threaded);
     }
@@ -2632,7 +2357,7 @@ mod tests {
         let mut b = a.clone();
         let tracker = CommTracker::new(4, CostModel::zero());
         assert!(matches!(
-            execute_redistribute_fused(
+            execute_redistribute_fused_wire(
                 &mut [&mut a, &mut b],
                 &fused_ghost,
                 &tracker,
@@ -2649,7 +2374,8 @@ mod tests {
         let two = Arc::new(crate::plan::plan_ghost(&d, &[(2, 2)]).unwrap());
         let fused = FusedPlan::fuse(vec![Arc::clone(&one), Arc::clone(&two), one]).unwrap();
         let mut checked = 0usize;
-        for &((src, dst), total) in &fused.pair_elements {
+        for pi in 0..fused.num_messages() {
+            let ((src, dst), total) = fused.pair(pi);
             let slices = fused.wire_slices(src, dst);
             assert!(!slices.is_empty());
             // Parts appear in fusion order and their payloads tile the
@@ -2662,6 +2388,8 @@ mod tests {
             }
             assert_eq!(offset, total);
             assert!(slices.windows(2).all(|w| w[0].part < w[1].part));
+            assert!(fused.arriving(dst).contains(&pi));
+            assert!(fused.sent_by(src).any(|q| q == pi));
             checked += 1;
         }
         assert!(checked > 0);
@@ -2689,7 +2417,7 @@ mod tests {
         let mut c = DistArray::from_fn("C", from.clone(), |pt| pt.coord(0) as f64 * 3.0);
         let dense = (a.to_dense(), b.to_dense(), c.to_dense());
         let tracker = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        let (reports, exec) = execute_redistribute_fused(
+        let (reports, exec) = execute_redistribute_fused_wire(
             &mut [&mut a, &mut b, &mut c],
             &fused,
             &tracker,
@@ -2717,8 +2445,9 @@ mod tests {
     fn wire_fused_redistribute_matches_per_part_bitwise() {
         // A class of three arrays with two *different* target layouts in
         // one fusion: the wire-packed executor must produce bitwise the
-        // per-part buffers, identical reports and identical tracker
-        // traffic, serial and pooled alike.
+        // buffers and reports of redistributing each array on its own part
+        // plan (the unfused per-array oracle), serial and pooled alike, and
+        // both transports must charge the tracker identically.
         let n = 48usize;
         let p = 4usize;
         let from = dist_1d(DistType::block1d(), n, p);
@@ -2730,23 +2459,31 @@ mod tests {
             FusedPlan::fuse(vec![Arc::clone(&plan_a), Arc::clone(&plan_b), plan_a]).unwrap();
 
         let build = || {
-            (
+            vec![
                 DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64 * 1.5),
                 DistArray::from_fn("B", from.clone(), |pt| -(pt.coord(0) as f64)),
                 DistArray::from_fn("C", from.clone(), |pt| pt.coord(0) as f64 + 0.25),
-            )
+            ]
         };
-        let (mut a1, mut b1, mut c1) = build();
-        let t1 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-        let (reports1, exec1) = execute_redistribute_fused(
-            &mut [&mut a1, &mut b1, &mut c1],
-            &fused,
-            &t1,
-            &SerialExecutor,
-        )
-        .unwrap();
+        let mut oracle = build();
+        let t_oracle = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
+        let oracle_reports: Vec<RedistReport> = oracle
+            .iter_mut()
+            .zip(fused.parts())
+            .map(|(array, part)| {
+                crate::execute_redistribute_with(
+                    array,
+                    part,
+                    &t_oracle,
+                    &crate::RedistOptions::default(),
+                    &SerialExecutor,
+                )
+                .unwrap()
+            })
+            .collect();
 
         let pool = Arc::new(vf_machine::WorkerPool::new(3));
+        let mut snapshots = Vec::new();
         for (name, executor) in [
             ("serial-wire", ExecBackend::Serial),
             (
@@ -2756,25 +2493,29 @@ mod tests {
                 ),
             ),
         ] {
-            let (mut a2, mut b2, mut c2) = build();
-            let t2 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-            let (reports2, exec2) = execute_redistribute_fused_wire(
-                &mut [&mut a2, &mut b2, &mut c2],
-                &fused,
-                &t2,
-                &executor,
-            )
-            .unwrap();
-            assert_eq!(a1.to_dense(), a2.to_dense(), "{name}");
-            assert_eq!(b1.to_dense(), b2.to_dense(), "{name}");
-            assert_eq!(c1.to_dense(), c2.to_dense(), "{name}");
-            assert_eq!(reports1, reports2, "{name}");
-            assert_eq!(exec1, exec2, "{name}");
-            assert_eq!(t1.snapshot(), t2.snapshot(), "{name}");
+            let mut arrays = build();
+            let t = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
+            let mut refs: Vec<&mut DistArray<f64>> = arrays.iter_mut().collect();
+            let (reports, exec) =
+                execute_redistribute_fused_wire(&mut refs, &fused, &t, &executor).unwrap();
+            for (k, (got, want)) in arrays.iter().zip(&oracle).enumerate() {
+                assert_eq!(got.to_dense(), want.to_dense(), "{name} array {k}");
+                assert_eq!(got.locals(), want.locals(), "{name} array {k} locals");
+            }
+            assert_eq!(reports, oracle_reports, "{name}");
+            // One message per crossing pair, bytes conserved over the parts.
+            assert_eq!(exec.messages, fused.num_messages(), "{name}");
+            assert_eq!(
+                exec.bytes,
+                oracle_reports.iter().map(|r| r.bytes).sum::<usize>(),
+                "{name}"
+            );
+            let stats = t.snapshot();
+            assert_eq!(stats.total_messages(), exec.messages, "{name}");
+            assert_eq!(stats.total_bytes(), t_oracle.snapshot().total_bytes());
+            snapshots.push(stats);
         }
-        // One message per crossing pair, bytes conserved over the parts.
-        assert_eq!(exec1.messages, fused.num_messages());
-        assert_eq!(exec1.bytes, reports1.iter().map(|r| r.bytes).sum::<usize>());
+        assert_eq!(snapshots[0], snapshots[1], "serial and pooled charge alike");
         assert!(pool.jobs_dispatched() > 0, "the wire path used the pool");
     }
 
@@ -2801,26 +2542,27 @@ mod tests {
 
     #[test]
     fn fused_execution_validates_before_moving() {
+        // A tracker modelling fewer processors than the plan addresses:
+        // the fused execute must fail before touching either array or
+        // charging anything.
         let n = 16usize;
         let p = 4usize;
         let from = dist_1d(DistType::block1d(), n, p);
         let to = dist_1d(DistType::cyclic1d(1), n, p);
         let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
         let fused = FusedPlan::fuse(vec![Arc::clone(&plan), plan]).unwrap();
-        let mut good = DistArray::from_fn("G", from, |pt| pt.coord(0) as f64);
-        // The second array is *not* block-distributed: the fused execute
-        // must fail before touching either array.
-        let mut bad = DistArray::from_fn("B", to, |pt| pt.coord(0) as f64);
-        let before = good.to_dense();
-        let tracker = CommTracker::new(p, CostModel::zero());
-        let err = execute_redistribute_fused(
-            &mut [&mut good, &mut bad],
+        let mut a = DistArray::from_fn("A", from.clone(), |pt| pt.coord(0) as f64);
+        let mut b = DistArray::from_fn("B", from, |pt| -(pt.coord(0) as f64));
+        let before = (a.to_dense(), b.to_dense());
+        let tracker = CommTracker::new(p - 1, CostModel::zero());
+        let err = execute_redistribute_fused_wire(
+            &mut [&mut a, &mut b],
             &fused,
             &tracker,
             &SerialExecutor,
         );
-        assert!(matches!(err, Err(RuntimeError::PlanMismatch { .. })));
-        assert_eq!(good.to_dense(), before, "no data moved on failure");
+        assert!(matches!(err, Err(RuntimeError::TrackerMismatch { .. })));
+        assert_eq!((a.to_dense(), b.to_dense()), before, "no data moved");
         assert_eq!(tracker.snapshot().total_messages(), 0);
     }
 
@@ -2833,8 +2575,12 @@ mod tests {
         let mut a = DistArray::from_fn("A", from, |pt| pt.coord(0) as f64);
         let mut b = a.clone();
         let tracker = CommTracker::new(2, CostModel::zero());
-        let err =
-            execute_redistribute_fused(&mut [&mut a, &mut b], &fused, &tracker, &SerialExecutor);
+        let err = execute_redistribute_fused_wire(
+            &mut [&mut a, &mut b],
+            &fused,
+            &tracker,
+            &SerialExecutor,
+        );
         assert!(matches!(err, Err(RuntimeError::FusionMismatch { .. })));
     }
 
@@ -2861,45 +2607,52 @@ mod tests {
         assert_ne!(wire_checksum(&wire[..4]), clean);
     }
 
-    #[test]
-    fn verify_wire_reports_corrupt_message() {
-        let mut wire: Vec<u32> = (0..16).collect();
-        let frame = frame_wire(&wire);
-        assert_eq!(frame.elements, 16);
-        verify_wire(&wire, &frame, 0, 1).unwrap();
-        wire[7] = wire[7].flip_bit(3);
-        let err = verify_wire(&wire, &frame, 2, 5).unwrap_err();
-        assert_eq!(
-            err,
-            RuntimeError::CorruptMessage {
-                src: 2,
-                dst: 5,
-                seq: frame.seq,
-            }
-        );
-        // Restoring the pristine element (the modelled retransmission)
-        // makes the same frame verify again.
-        wire[7] = wire[7].flip_bit(3);
-        verify_wire(&wire, &frame, 2, 5).unwrap();
+    /// A one-part fused redistribution of 16 elements from BLOCK to
+    /// CYCLIC over 4 processors, for the codec tests.
+    fn codec_fixture() -> (FusedPlan, DistArray<u32>) {
+        let from = dist_1d(DistType::block1d(), 16, 4);
+        let to = dist_1d(DistType::cyclic1d(1), 16, 4);
+        let plan = Arc::new(plan_redistribute(&from, &to).unwrap());
+        let array = DistArray::from_fn("W", from, |pt| pt.coord(0) as u32);
+        (FusedPlan::fuse(vec![plan]).unwrap(), array)
     }
 
     #[test]
-    fn framing_toggle_round_trips() {
-        // Framing is on by default; the bench-only switch turns it off and
-        // back on.  Safe to race with the other unit tests: with framing
-        // off wires simply skip validation, results are unchanged.
-        assert!(wire_framing_enabled());
-        set_wire_framing(false);
-        assert!(!wire_framing_enabled());
-        set_wire_framing(true);
-        assert!(wire_framing_enabled());
+    fn verify_wire_reports_corrupt_message() {
+        let (fused, array) = codec_fixture();
+        let pi = 0;
+        let ((s, d), total) = fused.pair(pi);
+        let mut wire = fused.pack(pi, |idx, p| {
+            assert_eq!(idx, 0);
+            array.locals()[p].as_slice()
+        });
+        assert_eq!(wire.len(), total);
+        let frame = fused.seal(pi, 40, &wire);
+        assert_eq!((frame.seq, frame.elements), (40, total as u64));
+        fused.check(pi, &wire, &frame).unwrap();
+        wire[0] = wire[0].flip_bit(3);
+        let err = fused.check(pi, &wire, &frame).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::CorruptMessage {
+                src: s,
+                dst: d,
+                seq: 40
+            }
+        );
+        // Restoring the pristine element (the modelled retransmission)
+        // makes the same frame verify again; a truncated wire never does.
+        wire[0] = wire[0].flip_bit(3);
+        fused.check(pi, &wire, &frame).unwrap();
+        assert!(fused.check(pi, &wire[1..], &frame).is_err());
     }
 
     #[test]
     fn wire_frames_carry_distinct_sequence_numbers() {
-        let wire: Vec<f64> = vec![1.0, 2.0];
-        let a = frame_wire(&wire);
-        let b = frame_wire(&wire);
+        let (fused, array) = codec_fixture();
+        let wire = fused.pack(0, |_, p| array.locals()[p].as_slice());
+        let a = fused.seal(0, next_wire_seq_block(fused.num_messages() as u64), &wire);
+        let b = fused.seal(0, next_wire_seq_block(fused.num_messages() as u64), &wire);
         assert_ne!(a.seq, b.seq);
         assert_eq!(a.checksum, b.checksum);
     }

@@ -13,14 +13,14 @@
 //! copy, not the geometry.
 
 use crate::exec::{
-    execute_fused_parts, execute_fused_wire, split_execute_fused_wire, ExecBackend, FusedPlan,
-    PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange,
+    execute_fused_wire, split_execute_fused_wire, ExecBackend, FusedPlan, PlanExecutor,
+    SerialExecutor, SplitExecReport, SplitPhaseExchange,
 };
-use crate::plan::{plan_ghost, plan_ghost_irregular, CommPlan, PlanCache, PlanKind};
+use crate::plan::{plan_ghost, CommPlan, PlanCache, PlanKind};
 use crate::shard::{ShardedArray, ShardedExecutor};
 use crate::{DistArray, Element, ExecReport, Result, RuntimeError};
 use std::sync::Arc;
-use vf_dist::{Connectivity, ProcId};
+use vf_dist::ProcId;
 use vf_index::Point;
 use vf_machine::{trace, CommTracker};
 
@@ -183,83 +183,48 @@ pub fn exchange_ghosts_planned_with<T: Element, E: PlanExecutor>(
     ))
 }
 
+/// Plans every array's halo through `cache` and fuses the class.
+fn fuse_class<T: Element>(
+    arrays: &[&DistArray<T>],
+    widths: &[(usize, usize)],
+    cache: &PlanCache,
+) -> Result<FusedPlan> {
+    let parts = arrays
+        .iter()
+        .map(|array| cache.ghost_plan(array.dist(), widths))
+        .collect::<Result<Vec<_>>>()?;
+    FusedPlan::fuse(parts)
+}
+
+/// Validates a fused ghost exchange of `arrays` before anything is charged
+/// — the fusion must be a ghost fusion with one part per array, and every
+/// part must apply to its array — and returns each part's per-processor
+/// ghost buffer sizes.  Every transport of a class exchange (`caller`)
+/// runs this first.
+fn class_ghost_sizes<T: Element>(
+    arrays: &[&DistArray<T>],
+    fused: &FusedPlan,
+    tracker: &CommTracker,
+    caller: &str,
+) -> Result<Vec<Vec<usize>>> {
+    fused.check_parts(PlanKind::Ghost, caller, arrays.len())?;
+    arrays
+        .iter()
+        .zip(fused.parts())
+        .map(|(array, part)| {
+            part.check_executable(array.dist(), tracker)?;
+            Ok((0..part.total_procs())
+                .map(|p| part.ghost_len(ProcId(p)))
+                .collect())
+        })
+        .collect()
+}
+
 /// Exchanges the overlap areas of a whole *class* of arrays — the fused
 /// ghost exchange — with the serial backend: every array's halo is planned
 /// through `cache`, the per-array plans are fused, and the class pays
 /// **one message per communicating processor pair** instead of one per
-/// array per pair.  See [`exchange_ghosts_fused_planned_with`].
-pub fn exchange_ghosts_fused<T: Element>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    exchange_ghosts_fused_with(arrays, widths, tracker, cache, &SerialExecutor)
-}
-
-/// [`exchange_ghosts_fused`] with an explicit execution backend.
-pub fn exchange_ghosts_fused_with<T: Element, E: PlanExecutor>(
-    arrays: &[&DistArray<T>],
-    widths: &[(usize, usize)],
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
-    exchange_ghosts_fused_planned_with(arrays, &fused, tracker, executor)
-}
-
-/// The executor half of the fused overlap exchange: every array's ghost
-/// buffers are filled by its own part plan (so each array's point → slot
-/// index is untouched — the per-pair payload remapping lives in
-/// [`FusedPlan::wire_slices`]), while the modelled communication is posted
-/// **once for the whole class** — a single message per crossing processor
-/// pair, carrying the concatenated payloads — before any copy starts and
-/// completed after the last one finishes.  Byte and element totals equal
-/// the sum over per-array exchanges exactly; only the message count drops.
-///
-/// # Errors
-/// [`RuntimeError::FusionMismatch`] if `fused` is not a ghost fusion or
-/// `arrays` disagrees with the parts in length;
-/// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
-/// any part does not apply to its array (validated for *all* arrays before
-/// anything executes).
-pub fn exchange_ghosts_fused_planned_with<T: Element, E: PlanExecutor>(
-    arrays: &[&DistArray<T>],
-    fused: &FusedPlan,
-    tracker: &CommTracker,
-    executor: &E,
-) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    fused.check_parts(PlanKind::Ghost, "exchange_ghosts_fused", arrays.len())?;
-    // Validate every (array, part) pair before anything is charged.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
-
-    let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
-        format!("fused {} arrays", arrays.len())
-    });
-    let mut regions = Vec::with_capacity(arrays.len());
-    let exec = execute_fused_parts(fused, tracker, T::BYTES, |idx, part| {
-        let dst_sizes: Vec<usize> = (0..part.total_procs())
-            .map(|p| part.ghost_len(ProcId(p)))
-            .collect();
-        let values =
-            executor.run_copies(part.transfers(), arrays[idx].locals(), &dst_sizes, tracker);
-        regions.push(GhostRegion {
-            plan: Arc::clone(&fused.parts()[idx]),
-            values,
-        });
-    });
-    Ok((regions, exec))
-}
-
-/// [`exchange_ghosts_fused`] through the **wire-layout** path (serial
-/// backend) — see [`exchange_ghosts_fused_wire_with`].
+/// array per pair.  See [`exchange_ghosts_fused_wire_with`].
 pub fn exchange_ghosts_fused_wire<T: Element>(
     arrays: &[&DistArray<T>],
     widths: &[(usize, usize)],
@@ -269,17 +234,16 @@ pub fn exchange_ghosts_fused_wire<T: Element>(
     exchange_ghosts_fused_wire_with(arrays, widths, tracker, cache, &SerialExecutor)
 }
 
-/// [`exchange_ghosts_fused_with`] through the **wire-layout** path: each
+/// [`exchange_ghosts_fused_wire`] with an explicit execution backend: each
 /// communicating processor pair's payload — the concatenated halo slices
 /// of every array in the class, laid out by
 /// [`FusedPlan::wire_slices`] — is packed into one contiguous wire buffer,
 /// charged as exactly one message, and unpacked into the per-array ghost
-/// buffers at the destination.  Regions, reports and charged traffic are
-/// bitwise identical to the per-part fused exchange; only the copy
-/// organisation changes from per-part scattered runs to per-pair memcpy
-/// streams, with the pack/unpack phases run through `executor` (the
-/// pooled backend parallelises them over destinations) and credited as
-/// copy-overlap compute.
+/// buffers at the destination.  Every array's ghost values are bitwise
+/// those of its own per-array exchange and the byte total is their sum;
+/// only the message count drops.  The pack/unpack phases run through
+/// `executor` (the pooled backend parallelises them over destinations)
+/// and are credited as copy-overlap compute.
 pub fn exchange_ghosts_fused_wire_with<T: Element, E: PlanExecutor>(
     arrays: &[&DistArray<T>],
     widths: &[(usize, usize)],
@@ -287,40 +251,32 @@ pub fn exchange_ghosts_fused_wire_with<T: Element, E: PlanExecutor>(
     cache: &PlanCache,
     executor: &E,
 ) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
+    let fused = fuse_class(arrays, widths, cache)?;
     exchange_ghosts_fused_planned_wire_with(arrays, &fused, tracker, executor)
 }
 
-/// The executor half of the wire-packed fused overlap exchange — the
-/// wire-layout counterpart of [`exchange_ghosts_fused_planned_with`],
-/// with identical validation, errors and charged traffic.
+/// The executor half of the wire-packed fused overlap exchange: every
+/// array's ghost buffers are filled through its own part plan (so each
+/// array's point → slot index is untouched — the per-pair payload
+/// remapping lives in [`FusedPlan::wire_slices`]), while the modelled
+/// communication is posted **once for the whole class**.
+///
+/// # Errors
+/// [`RuntimeError::FusionMismatch`] if `fused` is not a ghost fusion or
+/// `arrays` disagrees with the parts in length;
+/// [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`] if
+/// any part does not apply to its array (validated for *all* arrays before
+/// anything is charged).
 pub fn exchange_ghosts_fused_planned_wire_with<T: Element, E: PlanExecutor>(
     arrays: &[&DistArray<T>],
     fused: &FusedPlan,
     tracker: &CommTracker,
     executor: &E,
 ) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    fused.check_parts(PlanKind::Ghost, "exchange_ghosts_fused_wire", arrays.len())?;
-    // Validate every (array, part) pair before anything is charged.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
+    let dst_sizes = class_ghost_sizes(arrays, fused, tracker, "exchange_ghosts_fused_wire")?;
     let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
         format!("wire {} arrays", arrays.len())
     });
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .map(|part| {
-            (0..part.total_procs())
-                .map(|p| part.ghost_len(ProcId(p)))
-                .collect()
-        })
-        .collect();
     let (bufs, exec) = {
         let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
         execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes)?
@@ -355,11 +311,7 @@ pub fn exchange_ghosts_fused_sharded<T: Element>(
     cache: &PlanCache,
     executor: &ShardedExecutor,
 ) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
+    let fused = fuse_class(arrays, widths, cache)?;
     exchange_ghosts_fused_planned_sharded(arrays, &fused, tracker, executor)
 }
 
@@ -371,14 +323,7 @@ pub fn exchange_ghosts_fused_planned_sharded<T: Element>(
     tracker: &CommTracker,
     executor: &ShardedExecutor,
 ) -> Result<(Vec<GhostRegion<T>>, ExecReport)> {
-    fused.check_parts(
-        PlanKind::Ghost,
-        "exchange_ghosts_fused_sharded",
-        arrays.len(),
-    )?;
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
+    let dst_sizes = class_ghost_sizes(arrays, fused, tracker, "exchange_ghosts_fused_sharded")?;
     let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
         format!("sharded {} arrays", arrays.len())
     });
@@ -391,7 +336,7 @@ pub fn exchange_ghosts_fused_planned_sharded<T: Element>(
         tracker,
         executor,
         &srcs,
-        &|idx, r| fused.parts()[idx].ghost_len(ProcId(r)),
+        &|idx, r| dst_sizes[idx].get(r).copied().unwrap_or(0),
         &copy_secs,
     )?;
     let regions = fused
@@ -491,11 +436,7 @@ pub fn exchange_ghosts_fused_wire_split<'e, T: Element>(
     cache: &PlanCache,
     backend: &'e ExecBackend,
 ) -> Result<SplitGhostExchange<'e, T>> {
-    let mut parts = Vec::with_capacity(arrays.len());
-    for array in arrays {
-        parts.push(cache.ghost_plan(array.dist(), widths)?);
-    }
-    let fused = FusedPlan::fuse(parts)?;
+    let fused = fuse_class(arrays, widths, cache)?;
     exchange_ghosts_fused_planned_split(arrays, fused, tracker, backend)
 }
 
@@ -511,24 +452,7 @@ pub fn exchange_ghosts_fused_planned_split<'e, T: Element>(
     tracker: &CommTracker,
     backend: &'e ExecBackend,
 ) -> Result<SplitGhostExchange<'e, T>> {
-    fused.check_parts(
-        PlanKind::Ghost,
-        "exchange_ghosts_fused_wire_split",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before anything is charged.
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        part.check_executable(array.dist(), tracker)?;
-    }
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .map(|part| {
-            (0..part.total_procs())
-                .map(|p| part.ghost_len(ProcId(p)))
-                .collect()
-        })
-        .collect();
+    let dst_sizes = class_ghost_sizes(arrays, &fused, tracker, "exchange_ghosts_fused_wire_split")?;
     let parts = fused.parts().to_vec();
     let _span = trace::OpenSpan::begin_with(trace::Phase::GhostExchange, || {
         format!("split post {} arrays", arrays.len())
@@ -557,45 +481,6 @@ pub fn exchange_ghosts_planned_split<'e, T: Element>(
 ) -> Result<SplitGhostExchange<'e, T>> {
     let fused = FusedPlan::fuse(vec![Arc::clone(plan)])?;
     exchange_ghosts_fused_planned_split(&[array], fused, tracker, backend)
-}
-
-/// Exchanges the irregular (connectivity-driven) overlap areas of `array`:
-/// the PARTI incremental schedule is planned fresh from `conn` (see
-/// [`plan_ghost_irregular`]) and executed like any ghost plan.  Iterative
-/// sweeps should prefer [`exchange_ghosts_irregular_cached`].
-pub fn exchange_ghosts_irregular<T: Element>(
-    array: &DistArray<T>,
-    conn: &Connectivity,
-    tracker: &CommTracker,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = Arc::new(plan_ghost_irregular(array.dist(), conn)?);
-    exchange_ghosts_planned(array, &plan, tracker)
-}
-
-/// [`exchange_ghosts_irregular`] with schedule reuse through `cache`: the
-/// halo set is derived once per (distribution fingerprint, connectivity
-/// fingerprint) pair — a repartitioning changes the fingerprint and
-/// therefore replans, so stale halos are never replayed — and every later
-/// sweep only replays the copy runs.
-pub fn exchange_ghosts_irregular_cached<T: Element>(
-    array: &DistArray<T>,
-    conn: &Connectivity,
-    tracker: &CommTracker,
-    cache: &PlanCache,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    exchange_ghosts_irregular_cached_with(array, conn, tracker, cache, &SerialExecutor)
-}
-
-/// [`exchange_ghosts_irregular_cached`] with an explicit execution backend.
-pub fn exchange_ghosts_irregular_cached_with<T: Element, E: PlanExecutor>(
-    array: &DistArray<T>,
-    conn: &Connectivity,
-    tracker: &CommTracker,
-    cache: &PlanCache,
-    executor: &E,
-) -> Result<(GhostRegion<T>, GhostReport)> {
-    let plan = cache.ghost_irregular_plan(array.dist(), conn)?;
-    exchange_ghosts_planned_with(array, &plan, tracker, executor)
 }
 
 #[cfg(test)]
@@ -781,7 +666,7 @@ mod tests {
         let cache = PlanCache::new();
         let t_fused = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
         let (regions, exec) =
-            exchange_ghosts_fused(&[&a, &b, &c], &widths, &t_fused, &cache).unwrap();
+            exchange_ghosts_fused_wire(&[&a, &b, &c], &widths, &t_fused, &cache).unwrap();
         assert_eq!(regions.len(), 3);
 
         let t_single = CommTracker::new(4, CostModel::from_alpha_beta(1.0, 0.5));
@@ -821,12 +706,17 @@ mod tests {
         let fused = FusedPlan::fuse(vec![Arc::clone(&plan), plan]).unwrap();
         // Wrong arity.
         assert!(matches!(
-            exchange_ghosts_fused_planned_with(&[&a], &fused, &tracker, &SerialExecutor),
+            exchange_ghosts_fused_planned_wire_with(&[&a], &fused, &tracker, &SerialExecutor),
             Err(RuntimeError::FusionMismatch { .. })
         ));
         // Wrong distribution on the second array: nothing charged.
         assert!(matches!(
-            exchange_ghosts_fused_planned_with(&[&a, &rows], &fused, &tracker, &SerialExecutor),
+            exchange_ghosts_fused_planned_wire_with(
+                &[&a, &rows],
+                &fused,
+                &tracker,
+                &SerialExecutor
+            ),
             Err(RuntimeError::PlanMismatch { .. })
         ));
         assert_eq!(tracker.snapshot().total_messages(), 0);
@@ -834,7 +724,8 @@ mod tests {
 
     #[test]
     fn irregular_exchange_serves_scattered_indirect_layouts() {
-        use vf_dist::IndirectMap;
+        use crate::parti::{execute_halo, incremental_schedule, incremental_schedule_cached};
+        use vf_dist::{Connectivity, IndirectMap};
         // An alternating-owner indirect layout with a ring connectivity:
         // every neighbour is remote, so each processor's halo is the other
         // processor's whole half.
@@ -857,8 +748,8 @@ mod tests {
         let conn = Connectivity::from_csr(xadj, adjncy).unwrap();
         let cache = PlanCache::new();
         let tracker = CommTracker::new(2, CostModel::zero());
-        let (ghosts, report) =
-            exchange_ghosts_irregular_cached(&a, &conn, &tracker, &cache).unwrap();
+        let schedule = incremental_schedule_cached(a.dist(), &conn, &cache).unwrap();
+        let (ghosts, report) = execute_halo(&a, &schedule, &tracker).unwrap();
         assert_eq!(report.elements, n);
         assert_eq!(report.messages, 2);
         for p in 0..2usize {
@@ -874,11 +765,13 @@ mod tests {
             }
         }
         // A second exchange replays the cached incremental schedule.
-        exchange_ghosts_irregular_cached(&a, &conn, &tracker, &cache).unwrap();
+        let replay = incremental_schedule_cached(a.dist(), &conn, &cache).unwrap();
+        execute_halo(&a, &replay, &tracker).unwrap();
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
         // The fresh (uncached) variant produces the same region.
-        let (fresh, fresh_report) = exchange_ghosts_irregular(&a, &conn, &tracker).unwrap();
+        let fresh_schedule = incremental_schedule(a.dist(), &conn).unwrap();
+        let (fresh, fresh_report) = execute_halo(&a, &fresh_schedule, &tracker).unwrap();
         assert_eq!(fresh_report, report);
         for p in 0..2usize {
             for point in a.domain().iter() {

@@ -58,13 +58,12 @@ pub mod translation;
 pub use array::DistArray;
 pub use checkpoint::{CheckpointStore, RestoredCheckpoint};
 pub use descriptor::ArrayDescriptor;
-pub use element::{decode_slice, encode_slice, Element};
+pub use element::{decode_slice, encode_slice, wire_checksum, Element};
 pub use error::RuntimeError;
 pub use exec::{
-    execute_redistribute_fused, execute_redistribute_fused_wire, redistribute_split,
-    set_wire_framing, wire_framing_enabled, ExecBackend, ExecReport, FusedPlan, FusedSlice,
-    PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange, SplitRedistribute,
-    ThreadedExecutor,
+    execute_redistribute_fused_wire, redistribute_split, ExecBackend, ExecReport, FusedPlan,
+    FusedSlice, PlanExecutor, SerialExecutor, SplitExecReport, SplitPhaseExchange,
+    SplitRedistribute, ThreadedExecutor,
 };
 pub use plan::{CommPlan, PlanCache, PlanCacheStats, PlanKind, PlanRun, Transfer};
 pub use redistribute_impl::{

@@ -664,7 +664,8 @@ mod tests {
         for workers in [2, 3] {
             let mut threaded = cyclic_array(n, p);
             let t2 = CommTracker::new(p, CostModel::from_alpha_beta(1.0, 0.5));
-            let exec = ThreadedExecutor::with_workers(workers).serial_cutoff_bytes(0);
+            let exec = ThreadedExecutor::with_pool(Arc::new(vf_machine::WorkerPool::new(workers)))
+                .with_serial_cutoff(0);
             let m_thr = execute_scatter_with(&mut threaded, &updates, &t2, &exec, combine).unwrap();
             assert_eq!(m_serial, m_thr);
             assert_eq!(serial.to_dense(), threaded.to_dense(), "{workers} workers");
@@ -693,7 +694,8 @@ mod tests {
         .unwrap();
         let mut a: DistArray<f64> = DistArray::new("R", dist);
         let tracker = CommTracker::new(3, CostModel::zero());
-        let exec = ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0);
+        let exec = ThreadedExecutor::with_pool(Arc::new(vf_machine::WorkerPool::new(3)))
+            .with_serial_cutoff(0);
         execute_scatter_with(
             &mut a,
             &[

@@ -7,7 +7,9 @@
 //! one aggregated cost-model charge per message.  Iterative codes reuse
 //! plans through a [`PlanCache`] via [`redistribute_cached`].
 
-use crate::exec::{FusedPlan, PlanExecutor, SerialExecutor};
+use crate::exec::{
+    install_redistributed, redistribute_targets, FusedPlan, PlanExecutor, SerialExecutor,
+};
 use crate::plan::{plan_redistribute, CommPlan, PlanCache, PlanIndex, PlanKind};
 use crate::shard::{ShardedArray, ShardedExecutor};
 use crate::{DistArray, Element, Result, RuntimeError};
@@ -260,38 +262,11 @@ pub fn execute_redistribute_fused_sharded<T: Element>(
     tracker: &CommTracker,
     executor: &ShardedExecutor,
 ) -> Result<(Vec<RedistReport>, crate::ExecReport)> {
-    fused.check_parts(
-        PlanKind::Redistribute,
-        "execute_redistribute_fused_sharded",
-        arrays.len(),
-    )?;
-    // Validate every (array, part) pair before moving anything.
-    let mut new_dists = Vec::with_capacity(arrays.len());
-    for (array, part) in arrays.iter().zip(fused.parts()) {
-        let PlanIndex::Redistribute { new_dist } = &part.index else {
-            return Err(RuntimeError::PlanMismatch {
-                expected: part.src_fingerprint(),
-                found: array.dist().fingerprint(),
-            });
-        };
-        part.check_executable(array.dist(), tracker)?;
-        new_dists.push(new_dist.clone());
-    }
+    let (new_dists, dst_sizes) =
+        redistribute_targets(arrays, fused, tracker, "execute_redistribute_fused_sharded")?;
     let _span = trace::OpenSpan::begin_with(trace::Phase::Redistribute, || {
         format!("sharded {} arrays", arrays.len())
     });
-    let dst_sizes: Vec<Vec<usize>> = fused
-        .parts()
-        .iter()
-        .zip(&new_dists)
-        .map(|(part, new_dist)| {
-            let mut sizes = vec![0usize; part.total_procs()];
-            for &q in new_dist.proc_ids() {
-                sizes[q.0] = new_dist.local_size(q);
-            }
-            sizes
-        })
-        .collect();
     let shard_sets: Vec<ShardedArray<T>> =
         arrays.iter().map(|a| ShardedArray::scatter(a)).collect();
     let srcs: Vec<&ShardedArray<T>> = shard_sets.iter().collect();
@@ -304,23 +279,7 @@ pub fn execute_redistribute_fused_sharded<T: Element>(
         &|idx, r| dst_sizes[idx].get(r).copied().unwrap_or(0),
         &copy_secs,
     )?;
-    let mut reports = Vec::with_capacity(arrays.len());
-    for (((array, part), new_dist), locals) in arrays
-        .iter_mut()
-        .zip(fused.parts())
-        .zip(new_dists)
-        .zip(bufs)
-    {
-        array.replace(new_dist, locals);
-        array.broadcast_canonical();
-        reports.push(RedistReport {
-            moved_elements: part.moved_elements(),
-            stayed_elements: part.stayed_elements(),
-            messages: part.num_messages(),
-            bytes: part.bytes_for(T::BYTES),
-        });
-    }
-    Ok((reports, exec))
+    Ok((install_redistributed(arrays, fused, new_dists, bufs), exec))
 }
 
 /// Single-array `DISTRIBUTE` through the distributed-memory backend, with

@@ -32,8 +32,8 @@
 //! exchange, after the posted model charges are settled.
 
 use crate::exec::{
-    finish_with_copy_credit, wire_checksum, wire_copy_seconds, ExecReport, FusedPlan, PlanExecutor,
-    SerialExecutor,
+    finish_with_copy_credit, next_wire_seq_block, part_major, wire_copy_seconds, ExecReport,
+    FusedPlan, PlanExecutor, SerialExecutor,
 };
 use crate::plan::{PlanKind, Transfer};
 use crate::{decode_slice, encode_slice, DistArray, Element, Result, RuntimeError};
@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 use vf_dist::{Distribution, ProcId};
 use vf_machine::spmd::{self, ProcCtx, WIRE_TAG};
-use vf_machine::{trace, CommTracker, WireFrameMsg, WorkerPool};
+use vf_machine::{trace, CommTracker, WorkerPool};
 
 /// A distributed array scattered into rank-private shards.
 ///
@@ -136,7 +136,7 @@ impl<T: Element> ShardedArray<T> {
 /// how long a rank waits on a channel before declaring a peer lost.
 ///
 /// As a [`PlanExecutor`] it behaves exactly like [`SerialExecutor`] — the
-/// non-channel phases (plain per-part copies, scatter updates) have no
+/// non-channel phases (unfused per-array copies, scatter updates) have no
 /// wire representation and stay on the shared-memory oracle.  The
 /// channel-backed entry points ([`crate::redistribute_sharded`],
 /// [`crate::exchange_ghosts_fused_sharded`],
@@ -153,18 +153,13 @@ impl ShardedExecutor {
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
     /// A poolless executor (each exchange spawns its region's rank
-    /// threads fresh).  The receive bound can be overridden through the
-    /// `VF_CHANNEL_TIMEOUT_MS` environment variable.
+    /// threads fresh) with the [`ShardedExecutor::DEFAULT_TIMEOUT`]
+    /// receive bound; tune it with [`ShardedExecutor::with_timeout`] (or
+    /// `VF_SHARD_TIMEOUT` through [`crate::ExecBackend::auto`]).
     pub fn new() -> Self {
-        let timeout = std::env::var("VF_CHANNEL_TIMEOUT_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-            .unwrap_or(Self::DEFAULT_TIMEOUT);
         Self {
             pool: None,
-            timeout,
+            timeout: Self::DEFAULT_TIMEOUT,
         }
     }
 
@@ -270,96 +265,37 @@ fn rank_exchange<T: Element>(
     timeout: Duration,
 ) -> Result<Vec<Vec<T>>> {
     let r = ctx.rank();
-    let parts = fused.parts();
-    let mut bufs: Vec<Vec<T>> = (0..parts.len())
-        .map(|idx| vec![T::default(); dst_len(idx, r)])
-        .collect();
+    // This rank's shards are the only source segments it can read.
+    let src = |idx: usize, _proc: usize| my[idx];
     // Elements that stay on `r` never touch a channel.
-    for (idx, part) in parts.iter().enumerate() {
-        if let Some(&ti) = fused.pair_transfer[idx].get(&(r, r)) {
-            let t = &part.transfers()[ti];
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[idx][run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&my[idx][run.src_start..run.src_start + run.len]);
-            }
-        }
-    }
+    let mut bufs = fused.local_buffers(r, |idx| dst_len(idx, r), src);
     // Outgoing pairs: pack this rank's crossing payloads and put them on
-    // the wire.  `pair_elements` only holds crossing pairs with traffic,
-    // so `d != r` and `total > 0` hold structurally.
-    for (pi, &((s, d), total)) in fused.pair_elements.iter().enumerate() {
-        if s != r {
-            continue;
-        }
+    // the wire.
+    for pi in fused.sent_by(r) {
+        let ((_, d), total) = fused.pair(pi);
         let pack = trace::OpenSpan::begin_with(trace::Phase::WirePack, || {
             format!("p{r} -> p{d}: {total} elements")
         });
-        let mut wire: Vec<T> = vec![T::default(); total];
-        for sl in &fused.pair_slices[pi] {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, d)]];
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                wire[off..off + run.len]
-                    .copy_from_slice(&my[sl.part][run.src_start..run.src_start + run.len]);
-                off += run.len;
-            }
-            debug_assert_eq!(off, sl.wire_offset + sl.elements, "slice fills its window");
-        }
-        let frame = WireFrameMsg {
-            seq: seq_base + pi as u64,
-            elements: total as u64,
-            checksum: wire_checksum(&wire),
-        };
+        let wire = fused.pack(pi, src);
+        let frame = fused.seal(pi, seq_base, &wire);
         pack.end();
         ctx.send_wire(d, WIRE_TAG, frame, &encode_slice(&wire))?;
     }
     // Arriving pairs, in the same per-destination order the shared wire
     // path unpacks them.  The channel's per-tag queue matches by sender,
-    // so arrival order across senders doesn't matter.
-    let arriving = fused.pairs_by_dst.get(r).map_or(&[][..], |v| v.as_slice());
-    for &pi in arriving {
-        let ((s, _), total) = fused.pair_elements[pi];
+    // so arrival order across senders doesn't matter.  A payload of the
+    // wrong byte length decodes to an empty wire, which the check rejects.
+    for &pi in fused.arriving(r) {
+        let ((s, _), total) = fused.pair(pi);
         let (_, frame, payload) = ctx.recv_wire(Some(s), WIRE_TAG, timeout)?;
-        if payload.len() != total * T::BYTES || frame.elements as usize != total {
-            return Err(RuntimeError::CorruptMessage {
-                src: s,
-                dst: r,
-                seq: frame.seq,
-            });
-        }
-        let wire: Vec<T> = decode_slice(&payload);
-        if wire_checksum(&wire) != frame.checksum {
-            return Err(RuntimeError::CorruptMessage {
-                src: s,
-                dst: r,
-                seq: frame.seq,
-            });
-        }
+        let wire: Vec<T> = if payload.len() == total * T::BYTES {
+            decode_slice(&payload)
+        } else {
+            Vec::new()
+        };
+        fused.check(pi, &wire, &frame)?;
         let _unpack = trace::OpenSpan::begin_dest(trace::Phase::Unpack, r);
-        for sl in &fused.pair_slices[pi] {
-            if sl.elements == 0 {
-                continue;
-            }
-            let t = &parts[sl.part].transfers()[fused.pair_transfer[sl.part][&(s, r)]];
-            let mut off = sl.wire_offset;
-            for run in &t.runs {
-                if run.len == 0 {
-                    continue;
-                }
-                bufs[sl.part][run.dst_start..run.dst_start + run.len]
-                    .copy_from_slice(&wire[off..off + run.len]);
-                off += run.len;
-            }
-        }
+        fused.unpack(pi, &wire, &mut bufs);
     }
     Ok(bufs)
 }
@@ -395,16 +331,8 @@ pub(crate) fn sharded_fused_exchange<T: Element>(
         fused.parts().len(),
         "one sharded array per part"
     );
-    for part in fused.parts() {
-        part.charge_directory(tracker);
-    }
-    let batch = fused.message_batch(T::BYTES);
-    let messages = batch.len();
-    let bytes: usize = batch.iter().map(|m| m.2).sum();
-    let post = trace::OpenSpan::begin_with(trace::Phase::Post, || format!("{messages} msgs"));
-    let pending = tracker.post_many(batch);
-    post.end();
-    let seq_base = crate::exec::next_wire_seq_block(fused.pair_elements.len() as u64);
+    let (pending, report) = fused.post(tracker, T::BYTES);
+    let seq_base = next_wire_seq_block(fused.num_messages() as u64);
     let procs = tracker.num_procs();
     let timeout = exec.timeout();
     let per_rank: Vec<Result<Vec<Vec<T>>>> = exec.run_region(procs, tracker, |ctx| {
@@ -422,15 +350,8 @@ pub(crate) fn sharded_fused_exchange<T: Element>(
     let wait = trace::OpenSpan::begin(trace::Phase::Wait);
     finish_with_copy_credit(tracker, pending, copy_secs);
     wait.end();
-    let mut out: Vec<Vec<Vec<T>>> = (0..fused.parts().len())
-        .map(|_| vec![Vec::new(); procs])
-        .collect();
-    for (d, bufs) in per_rank.into_iter().enumerate() {
-        for (idx, buf) in bufs?.into_iter().enumerate() {
-            out[idx][d] = buf;
-        }
-    }
-    Ok((out, ExecReport { messages, bytes }))
+    let per_rank = per_rank.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok((part_major(per_rank, &vec![procs; srcs.len()]), report))
 }
 
 /// A reusable rank-level halo exchange for SPMD application loops: the
@@ -478,10 +399,7 @@ impl ShardedHaloExchange {
     /// Charges one step's modelled traffic (directory + message batch).
     /// Call from exactly one rank per step, before any rank sends.
     pub fn post(&self, tracker: &CommTracker, elem_bytes: usize) -> vf_machine::PendingSends {
-        for part in self.fused.parts() {
-            part.charge_directory(tracker);
-        }
-        tracker.post_many(self.fused.message_batch(elem_bytes))
+        self.fused.post(tracker, elem_bytes).0
     }
 
     /// Completes one step's modelled traffic with the wire pack/unpack
@@ -516,7 +434,7 @@ impl ShardedHaloExchange {
         ctx: &mut ProcCtx,
         my: &[&[T]],
     ) -> Result<Vec<Vec<T>>> {
-        let seq_base = crate::exec::next_wire_seq_block(self.fused.pair_elements.len() as u64);
+        let seq_base = next_wire_seq_block(self.fused.num_messages() as u64);
         rank_exchange(
             &self.fused,
             ctx,

@@ -25,3 +25,11 @@ pub fn dist_2d(dist_type: DistType, n: usize, m: usize, p: usize) -> Distributio
     Distribution::new(dist_type, IndexDomain::d2(n, m), ProcessorView::linear(p))
         .expect("valid 2-D distribution")
 }
+
+/// Every processor's local segment of `array`, copied out — the storage
+/// layout two runs must agree on to be bitwise identical.
+pub fn locals_of<T: Element>(array: &DistArray<T>) -> Vec<Vec<T>> {
+    (0..array.num_procs())
+        .map(|q| array.local(ProcId(q)).to_vec())
+        .collect()
+}

@@ -40,7 +40,7 @@ fn grid_array(name: &str, t: DistType, n: usize, p: usize, scale: f64) -> DistAr
 
 /// A backend whose unpack genuinely streams on background pool workers.
 fn streaming_backend(pool: &Arc<WorkerPool>) -> ExecBackend {
-    ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(pool)).serial_cutoff_bytes(0))
+    ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(pool)).with_serial_cutoff(0))
 }
 
 /// A tracker that is **never** armed by the environment: chaos references
@@ -177,8 +177,8 @@ fn injected_corruption_is_always_detected_and_repaired() {
 }
 
 /// A worker death during a pooled (blocking) dispatch degrades to the
-/// partitioned fallback — and, when too few workers survive, all the way
-/// to serial — without changing a single bit of the result.
+/// serial fallback on the calling thread without changing a single bit of
+/// the result.
 #[test]
 fn worker_death_degrades_pooled_dispatch_bitwise() {
     let n = 16usize;
@@ -192,8 +192,7 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
     let (clean, _) =
         exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_clean, &PlanCache::new()).unwrap();
 
-    // 4 workers, 1 death → partitioned degraded path; 2 workers, 1 death →
-    // serial degraded path.
+    // 4 workers or 2, one death: both degrade pooled → serial.
     for workers in [4usize, 2] {
         let plan = FaultPlan::new(99)
             .with_rate(1.0)
@@ -202,7 +201,7 @@ fn worker_death_degrades_pooled_dispatch_bitwise() {
         let inj = Arc::new(FaultInjector::new(plan));
         let tracker = faulty_tracker(p, &inj);
         let executor =
-            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).serial_cutoff_bytes(0);
+            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0);
 
         for round in 0..2 {
             let (regions, _) = exchange_ghosts_fused_wire_with(

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use vf_core::prelude::*;
 use vf_integration::zero_machine;
 use vf_runtime::ghost::{
-    exchange_ghosts, exchange_ghosts_fused, exchange_ghosts_fused_planned_with,
-    exchange_ghosts_fused_with,
+    exchange_ghosts, exchange_ghosts_fused_planned_wire_with, exchange_ghosts_fused_wire,
+    exchange_ghosts_fused_wire_with,
 };
 use vf_runtime::plan::{plan_ghost, plan_ghost_irregular};
 use vf_runtime::{RuntimeError, SerialExecutor};
@@ -43,7 +43,7 @@ fn fused_ghost_equals_per_array_ghost_bitwise_and_conserves_traffic() {
         let cache = PlanCache::new();
         let machine = zero_machine(p);
         let t_fused = machine.tracker();
-        let (regions, exec) = exchange_ghosts_fused(&refs, &WIDTHS, &t_fused, &cache).unwrap();
+        let (regions, exec) = exchange_ghosts_fused_wire(&refs, &WIDTHS, &t_fused, &cache).unwrap();
 
         // Exactly one message per communicating processor pair, regardless
         // of class size.
@@ -97,12 +97,14 @@ fn threaded_equals_serial_on_fused_ghost_plans() {
     let cache = PlanCache::new();
     let t_serial = machine.tracker();
     let (serial, rs) =
-        exchange_ghosts_fused_with(&refs, &WIDTHS, &t_serial, &cache, &SerialExecutor).unwrap();
+        exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &t_serial, &cache, &SerialExecutor)
+            .unwrap();
     for workers in [2, 3, 5] {
-        let forced = ThreadedExecutor::with_workers(workers).serial_cutoff_bytes(0);
+        let forced =
+            ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0);
         let t_thr = machine.tracker();
         let (threaded, rt) =
-            exchange_ghosts_fused_with(&refs, &WIDTHS, &t_thr, &cache, &forced).unwrap();
+            exchange_ghosts_fused_wire_with(&refs, &WIDTHS, &t_thr, &cache, &forced).unwrap();
         assert_eq!(rs, rt, "{workers} workers");
         assert_eq!(t_serial.snapshot(), t_thr.snapshot(), "{workers} workers");
         for (k, array) in arrays.iter().enumerate() {
@@ -131,9 +133,9 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     // distribution), so the second exchange plans nothing.
     let cache = PlanCache::new();
     let t_cached = machine.tracker();
-    let (g1, e1) = exchange_ghosts_fused(&[&a, &b], &WIDTHS, &t_cached, &cache).unwrap();
+    let (g1, e1) = exchange_ghosts_fused_wire(&[&a, &b], &WIDTHS, &t_cached, &cache).unwrap();
     assert_eq!(cache.stats().misses, 1);
-    let (g2, e2) = exchange_ghosts_fused(&[&a, &b], &WIDTHS, &t_cached, &cache).unwrap();
+    let (g2, e2) = exchange_ghosts_fused_wire(&[&a, &b], &WIDTHS, &t_cached, &cache).unwrap();
     assert_eq!(cache.stats().misses, 1);
     assert!(cache.stats().hits >= 3, "replay served from the cache");
     assert_eq!(e1, e2);
@@ -146,7 +148,8 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     .unwrap();
     let t_fresh = machine.tracker();
     let (g3, e3) =
-        exchange_ghosts_fused_planned_with(&[&a, &b], &fresh, &t_fresh, &SerialExecutor).unwrap();
+        exchange_ghosts_fused_planned_wire_with(&[&a, &b], &fresh, &t_fresh, &SerialExecutor)
+            .unwrap();
     assert_eq!(e3, e1);
     for k in 0..2 {
         for proc in a.dist().proc_ids() {
@@ -170,7 +173,7 @@ fn cached_fused_plans_equal_fresh_ones_and_invalidate_by_fingerprint() {
     redistribute(&mut moved, columns, &tracker, &RedistOptions::default()).unwrap();
     tracker.take();
     assert!(matches!(
-        exchange_ghosts_fused_planned_with(&[&moved, &b], &fresh, &tracker, &SerialExecutor),
+        exchange_ghosts_fused_planned_wire_with(&[&moved, &b], &fresh, &tracker, &SerialExecutor),
         Err(RuntimeError::PlanMismatch { .. })
     ));
     assert_eq!(tracker.snapshot().total_messages(), 0);

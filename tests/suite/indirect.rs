@@ -192,7 +192,7 @@ fn indirect_class_fuses_and_threaded_matches_serial() {
     };
     let (serial_scope, serial_report) = build(ExecBackend::Serial);
     let (threaded_scope, threaded_report) = build(ExecBackend::Threaded(
-        ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0),
+        ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(3))).with_serial_cutoff(0),
     ));
     assert!(serial_report.fused.is_some());
     assert!(serial_report.messages() < serial_report.unfused_messages());

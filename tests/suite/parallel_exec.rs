@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 use std::sync::Arc;
 use vf_core::prelude::*;
-use vf_integration::dist_1d;
+use vf_integration::{dist_1d, locals_of};
 use vf_runtime::ghost::{exchange_ghosts_cached, exchange_ghosts_cached_with};
 use vf_runtime::parti::{execute_gather, execute_gather_with, inspector};
 
@@ -37,10 +37,10 @@ fn arb_dist_type(n: usize, p: usize) -> impl Strategy<Value = DistType> {
 }
 
 /// A threaded executor forced onto the threaded path regardless of plan
-/// size (cutoff 0), with more workers than this host may have cores —
-/// correctness must not depend on either.
+/// size (cutoff 0), over a pool with more workers than this host may have
+/// cores — correctness must not depend on either.
 fn forced_threaded() -> ThreadedExecutor {
-    ThreadedExecutor::with_workers(3).serial_cutoff_bytes(0)
+    ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(3))).with_serial_cutoff(0)
 }
 
 proptest! {
@@ -192,19 +192,37 @@ proptest! {
             ))
             .collect();
         let dense_before: Vec<Vec<f64>> = datas.iter().map(|d| d.to_dense()).collect();
+        // The unfused per-array oracle: each array moved by its own part.
+        let mut oracle = datas.clone();
+        let t_oracle = CommTracker::new(p, CostModel::ipsc860(p));
+        for (array, part) in oracle.iter_mut().zip(fused.parts()) {
+            vf_runtime::execute_redistribute_with(
+                array,
+                part,
+                &t_oracle,
+                &RedistOptions::default(),
+                &SerialExecutor,
+            )
+            .unwrap();
+        }
         let tracker = CommTracker::new(p, CostModel::ipsc860(p));
         let mut refs: Vec<&mut DistArray<f64>> = datas.iter_mut().collect();
         let (reports, exec) = if threaded {
-            execute_redistribute_fused(&mut refs, &fused, &tracker, &forced_threaded()).unwrap()
+            execute_redistribute_fused_wire(&mut refs, &fused, &tracker, &forced_threaded())
+                .unwrap()
         } else {
-            execute_redistribute_fused(&mut refs, &fused, &tracker, &SerialExecutor).unwrap()
+            execute_redistribute_fused_wire(&mut refs, &fused, &tracker, &SerialExecutor).unwrap()
         };
 
-        // Every array survived the fused motion with its own data.
-        for (data, before) in datas.iter().zip(&dense_before) {
+        // Every array survived the fused motion with its own data, laid
+        // out bitwise as the unfused per-array oracle lays it out.
+        for ((data, before), want) in datas.iter().zip(&dense_before).zip(&oracle) {
             prop_assert_eq!(&data.to_dense(), before);
+            prop_assert_eq!(locals_of(data), locals_of(want));
             data.check_invariants().unwrap();
         }
+        prop_assert_eq!(t_oracle.snapshot().total_bytes(), sum_bytes);
+        prop_assert_eq!(t_oracle.snapshot().total_messages(), sum_messages);
         // The tracker charged exactly the fused schedule.
         let stats = tracker.snapshot();
         prop_assert_eq!(stats.total_messages(), fused.num_messages());

@@ -25,7 +25,7 @@ fn grid_array(name: &str, t: DistType, n: usize, p: usize, scale: f64) -> DistAr
 /// zero cutoff forces the threaded path regardless of volume.
 fn streaming_backend(workers: usize) -> ExecBackend {
     ExecBackend::Threaded(
-        ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).serial_cutoff_bytes(0),
+        ThreadedExecutor::with_pool(Arc::new(WorkerPool::new(workers))).with_serial_cutoff(0),
     )
 }
 

@@ -56,7 +56,7 @@ fn grid_arrays(n: usize, p: usize, fields: usize) -> Vec<DistArray<f64>> {
 }
 
 fn streaming_backend(pool: &Arc<WorkerPool>) -> ExecBackend {
-    ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(pool)).serial_cutoff_bytes(0))
+    ExecBackend::Threaded(ThreadedExecutor::with_pool(Arc::clone(pool)).with_serial_cutoff(0))
 }
 
 /// Blocking, waited-split, dropped-split and fault-degraded executions all
@@ -317,4 +317,40 @@ fn fault_instants_match_comm_stats_counters_exactly() {
     );
 
     trace::set_enabled(false);
+}
+
+/// A traced checkpoint save is marked once — by the `CkptWrite` span
+/// around it — not once per byte written, while the byte ledger in
+/// [`CommStats`] keeps the full count, exactly as in an untraced save.
+#[test]
+fn traced_checkpoint_save_records_constant_events() {
+    let _guard = locked_tracing(true);
+    let p = 4usize;
+    let n = 1usize << 17; // 128 Ki f64 elements: a 1 MiB payload.
+    let dist = Distribution::new(
+        DistType::block1d(),
+        IndexDomain::d1(n),
+        ProcessorView::linear(p),
+    )
+    .unwrap();
+    let array = DistArray::from_fn("C", dist, |pt| pt.coord(0) as f64 * 0.5);
+    let dir = std::env::temp_dir().join(format!("vf_trace_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::new(&dir);
+
+    let traced = CommTracker::new(p, CostModel::zero());
+    store.save(&array, 1, &traced).unwrap();
+    let events = trace::snapshot().count(trace::Phase::CkptWrite);
+    trace::set_enabled(false);
+    let untraced = CommTracker::new(p, CostModel::zero());
+    store.save(&array, 2, &untraced).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let written = traced.snapshot().ckpt_bytes_written();
+    assert!(written >= 1 << 20, "a save of at least 1 MiB: {written}");
+    assert!(
+        (1..=2).contains(&events),
+        "{events} ckpt-write events for one {written}-byte save"
+    );
+    assert_eq!(written, untraced.snapshot().ckpt_bytes_written());
 }
