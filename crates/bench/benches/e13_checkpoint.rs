@@ -2,9 +2,12 @@
 //! restore, and redistribute-on-read.
 //!
 //! A checkpoint's file layout follows the array's distribution (each
-//! rank's shard as checksummed linear runs), so a save is essentially one
-//! streaming pass over the payload and a restore into a *different* live
-//! distribution is a restore plus an ordinary cached redistribute plan.
+//! rank's local segment stored contiguously with one checksum), so a save
+//! is essentially one streaming pass over the payload and a restore into a
+//! *different* live distribution is a restore plus an ordinary cached
+//! redistribute plan.  The bench also times an in-process raw write plus
+//! `sync_all` of the same bytes, the I/O floor of a durable save, and
+//! reports `save_over_raw_sync` against it (reported, not guarded).
 //! The guard checks the *byte accounting*, which is timing-noise-free:
 //!
 //! * `ckpt_bytes_written` per save and `ckpt_bytes_read` per restore must
@@ -15,10 +18,12 @@
 //!
 //! Custom harness (no criterion): emits `BENCH_e13.json`
 //! (`VF_E13_BENCH_JSON` overrides the path) recording save/restore/
-//! restore-redistribute times and the byte ledger.  `VF_E13_SKIP_GUARD=1`
-//! skips the byte guard; the bitwise correctness cross-checks always run.
+//! restore-redistribute times, the raw write + sync reference and the byte
+//! ledger.  `VF_E13_SKIP_GUARD=1` skips the byte guard; the bitwise
+//! correctness cross-checks always run.
 
 use std::hint::black_box;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vf_core::prelude::*;
@@ -113,6 +118,15 @@ fn main() {
             .restore_into::<f64, _>(&live_dist, &tracker, &cache, &SerialExecutor)
             .unwrap()
     }));
+    // The I/O floor of a durable save: the same bytes written and synced.
+    let generation = std::fs::read(&store.generation_paths()[0]).unwrap();
+    let raw_path = dir.join("raw-write.bin");
+    let raw_sync_ns = ns(time_min(|| {
+        let mut file = std::fs::File::create(&raw_path).unwrap();
+        file.write_all(&generation).unwrap();
+        file.sync_all().unwrap();
+    }));
+    let save_over_raw_sync = save_ns / raw_sync_ns;
 
     println!("## 2 MB f64 payload, BLOCK over {PROCS} ranks\n");
     println!("| operation | time |");
@@ -123,6 +137,11 @@ fn main() {
         "| restore + redistribute (BLOCK -> INDIRECT) | {:.0} us |",
         restore_redist_ns / 1e3
     );
+    println!(
+        "| raw write + sync_all (reference) | {:.0} us |",
+        raw_sync_ns / 1e3
+    );
+    println!("\nsave / (raw write + sync_all) = {save_over_raw_sync:.2}x (reported, not guarded)");
 
     let payload = N * 8;
     let mut report = vf_bench::json::BenchReport::new();
@@ -134,6 +153,10 @@ fn main() {
         plan.num_messages(),
         plan_bytes,
     );
+    report.record("raw_write_sync_2mb", raw_sync_ns, 0, generation.len());
+    report
+        .entry("save_vs_raw")
+        .ratio("save_over_raw_sync", save_over_raw_sync);
     report
         .entry("byte_ledger")
         .int("payload_bytes", payload)

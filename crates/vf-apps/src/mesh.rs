@@ -374,10 +374,11 @@ fn run_sweep_inner(
         .expect("a clause matches");
     let dcase_arm: &'static str = ["parti", "regular", "other"][arm];
 
-    let edge_cut_initial = edge_cut(
-        mesh,
-        &owners_of(scope.array("VAL").expect("distributed").dist(), n),
-    );
+    // Node owners, recomputed only when VAL's distribution changes.
+    let initial_dist = scope.array("VAL").expect("distributed").dist();
+    let mut owners_fingerprint = initial_dist.fingerprint();
+    let mut node_owner = owners_of(initial_dist, n);
+    let edge_cut_initial = edge_cut(mesh, &node_owner);
     let mut repartition: Option<DistributeReport> = None;
     let mut gathered_elements = 0usize;
     let mut gather_messages = 0usize;
@@ -444,7 +445,10 @@ fn run_sweep_inner(
         }
 
         let dist = scope.array("VAL").expect("distributed").dist().clone();
-        let node_owner = owners_of(&dist, n);
+        if dist.fingerprint() != owners_fingerprint {
+            owners_fingerprint = dist.fingerprint();
+            node_owner = owners_of(&dist, n);
+        }
         // Inspector: the incremental schedule derives each processor's
         // halo — every neighbour of an owned node that lives elsewhere —
         // directly from the mesh connectivity, resolved through the

@@ -128,10 +128,13 @@ pub enum Phase {
     /// Reading a checkpoint generation back during restore (matching
     /// [`CommStats::ckpt_bytes_read`](crate::CommStats::ckpt_bytes_read)).
     CkptRead,
+    /// Syncing a written checkpoint generation, or its directory after the
+    /// rename, to stable storage (nested inside [`Phase::CkptWrite`]).
+    CkptSync,
 }
 
 /// Number of [`Phase`] kinds.
-pub const NUM_PHASES: usize = 27;
+pub const NUM_PHASES: usize = 28;
 
 impl Phase {
     /// Every phase kind, in declaration order.
@@ -163,6 +166,7 @@ impl Phase {
         Phase::SplitPending,
         Phase::CkptWrite,
         Phase::CkptRead,
+        Phase::CkptSync,
     ];
 
     /// The stable kebab-case name used in exports.
@@ -195,6 +199,7 @@ impl Phase {
             Phase::SplitPending => "split-pending",
             Phase::CkptWrite => "ckpt-write",
             Phase::CkptRead => "ckpt-read",
+            Phase::CkptSync => "ckpt-sync",
         }
     }
 

@@ -2,19 +2,20 @@
 //!
 //! The paper makes distributions first-class, dynamic runtime objects — so
 //! a checkpoint is not an opaque memory dump but a *distributed* object:
-//! each rank's shard is written as checksummed segments laid out by the
-//! distribution's [`local_linear_runs`](Distribution::local_linear_runs),
-//! and the file carries a manifest (distribution descriptor, `INDIRECT`
-//! maps, step counter, fingerprints) sufficient to rebuild the on-disk
-//! distribution from nothing.  Restoring into a *different* live
-//! distribution is then just a redistribute from the "file distribution"
-//! to the live one through the ordinary [`PlanCache`]/executor stack —
-//! the ViPIOS redistribute-on-read idea for Vienna Fortran parallel I/O.
+//! each rank's local segment is written contiguously, in local order, with
+//! a checksum, and the file carries a manifest (distribution descriptor,
+//! `INDIRECT` maps, step counter, fingerprint) sufficient to rebuild the
+//! on-disk distribution from nothing.  The rebuilt distribution defines
+//! where every stored element lives, so the file needs no run table.
+//! Restoring into a *different* live distribution is then just a
+//! redistribute from the "file distribution" to the live one through the
+//! ordinary [`PlanCache`]/executor stack — the ViPIOS redistribute-on-read
+//! idea for Vienna Fortran parallel I/O.
 //!
 //! # File format (all integers little-endian)
 //!
 //! ```text
-//! magic      8 bytes  "VFCKPT01"
+//! magic      8 bytes  "VFCKPT02"
 //! step       u64      application step the snapshot was taken at
 //! elem_bytes u64      element width (must match the restoring T)
 //! name       u64 len + bytes (UTF-8 array name)
@@ -23,26 +24,49 @@
 //! per dim    dist descriptor: 0=BLOCK · 1=CYCLIC(k) · 2=GEN_BLOCK(sizes)
 //!            · 3=INDIRECT(owners) · 4=":"
 //! fingerprint u64     structural fingerprint of the saved distribution
-//! per proc   u64 run count; per run: local_start u64, global_start u64,
-//!            len u64, checksum u64 (the wire checksum of the run's
-//!            elements), payload (len · elem_bytes bytes)
-//! trailer    u64      FNV-1a 64 over every preceding byte
+//! per proc   len u64 (local element count), checksum u64 (the wire
+//!            checksum of the whole local segment, keyed by the rank so
+//!            segments cannot trade places), payload (len · elem_bytes)
+//! trailer    u64      file_hash over every preceding byte
 //! ```
 //!
-//! # Torn-write safety and generations
+//! Every count read from a file is bounded by the bytes left after it, and
+//! every segment length must equal its rank's local size under the rebuilt
+//! distribution before anything is allocated for the payload, so a crafted
+//! file cannot size an allocation beyond its own length.
 //!
-//! A save encodes to a temporary file in the store directory and
-//! [`std::fs::rename`]s it into one of **two** generation slots
-//! (`gen0.vfck` / `gen1.vfck`), always overwriting the *older* slot.  A
-//! crash mid-write therefore leaves at worst a stale temporary plus two
-//! intact generations; a corrupt or truncated generation fails validation
-//! (magic, structure, per-run checksums, whole-file checksum) and restore
-//! falls back to the other generation before reporting
-//! [`RuntimeError::CorruptCheckpoint`] for the store.
+//! # Hash
+//!
+//! [`file_hash`] consumes the file eight bytes at a time into four
+//! independent lanes.  Each step is a bijection of its input word, so any
+//! change confined to one word always changes the result; the lanes make
+//! it position-sensitive, and the length is folded in last, so truncation
+//! and zero-extension change it too.  The hash runs at memory speed, and
+//! each file read is hashed exactly once.
+//!
+//! # Durability and generations
+//!
+//! A save encodes into a buffer sized once, writes it to a temporary file
+//! in the store directory, `sync_all`s it, [`std::fs::rename`]s it into one
+//! of **two** generation slots (`gen0.vfck` / `gen1.vfck`) and then syncs
+//! the directory (on Unix), so a returned save survives power loss and not
+//! only a process crash.  A failed save removes its temporary.  The slot
+//! rule: an empty or invalid slot is overwritten first, otherwise the one
+//! holding the older generation — a save reads and validates both slots
+//! once each to decide.
+//!
+//! A restore orders the slots by the step in their header and reads,
+//! validates and decodes only the newest; the other is read only when the
+//! newest fails.  Corruption (trailer, magic, structure, fingerprint,
+//! segment lengths or checksums) falls back a generation; a mismatch with
+//! the restoring side (element width, processor count) is shared by every
+//! generation and propagates at once.  When nothing validates, the error is
+//! a [`RuntimeError::CorruptCheckpoint`] naming the store.
 //!
 //! All checkpoint I/O is charged to the tracker
 //! ([`CommTracker::record_ckpt_write`] / [`CommTracker::record_ckpt_read`])
 //! and wrapped in [`trace::Phase::CkptWrite`] / [`trace::Phase::CkptRead`]
+//! spans, with the two syncs of a save in nested [`trace::Phase::CkptSync`]
 //! spans, so persistence traffic shows up in the drift guard next to
 //! communication traffic.
 //!
@@ -57,19 +81,25 @@ use crate::element::wire_checksum;
 use crate::plan::PlanCache;
 use crate::redistribute_impl::{redistribute_cached_with, RedistOptions};
 use crate::{DistArray, Element, PlanExecutor, Result, RuntimeError};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vf_dist::{DimDist, DistType, Distribution, IndirectMap, ProcId, ProcessorView};
 use vf_index::IndexDomain;
 use vf_machine::{trace, CommTracker};
 
-const MAGIC: &[u8; 8] = b"VFCKPT01";
+const MAGIC: &[u8; 8] = b"VFCKPT02";
 const GEN_FILES: [&str; 2] = ["gen0.vfck", "gen1.vfck"];
 const TAG_BLOCK: u64 = 0;
 const TAG_CYCLIC: u64 = 1;
 const TAG_GEN_BLOCK: u64 = 2;
 const TAG_INDIRECT: u64 = 3;
 const TAG_NOT_DISTRIBUTED: u64 = 4;
+/// A segment's `len` and `checksum` words.
+const SEGMENT_HEADER_BYTES: usize = 16;
+const TRAILER_BYTES: usize = 8;
+/// Odd, so multiplying by it is a bijection on `u64`.
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// A two-generation checkpoint store rooted at one directory.
 ///
@@ -112,20 +142,21 @@ impl CheckpointStore {
     /// The step of the newest restorable generation, if any survives
     /// validation.
     pub fn latest_step(&self) -> Option<u64> {
-        self.scan_generations()
-            .into_iter()
-            .flatten()
-            .map(|(step, _)| step)
-            .max()
+        self.newest_first().into_iter().find_map(|path| {
+            let bytes = std::fs::read(&path).ok()?;
+            validate(&bytes, &path).ok().map(|m| m.step)
+        })
     }
 
     /// Saves `array` at `step` into the older generation slot
-    /// (write-new + atomic rename), charging the written bytes to
-    /// `tracker`.  Returns the path of the generation written.
+    /// (write-new, sync, atomic rename, sync the directory), charging the
+    /// written bytes to `tracker`.  Returns the path of the generation
+    /// written.
     ///
     /// # Errors
     /// [`RuntimeError::CorruptCheckpoint`] when the store directory or the
-    /// file cannot be written (the I/O error is carried in the reason).
+    /// file cannot be written or synced (the I/O error is carried in the
+    /// reason); the temporary file is removed.
     pub fn save<T: Element>(
         &self,
         array: &DistArray<T>,
@@ -135,17 +166,21 @@ impl CheckpointStore {
         let span = trace::OpenSpan::begin_with(trace::Phase::CkptWrite, || {
             format!("{} step {step}", array.name())
         });
-        let bytes = encode_checkpoint(array, step);
         let target = self.save_slot();
+        let bytes = encode_checkpoint(array, step);
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             target.file_name().and_then(|n| n.to_str()).unwrap_or("gen")
         ));
-        let io = |e: std::io::Error, what: &str| corrupt(&target, format!("{what}: {e}"));
-        std::fs::create_dir_all(&self.dir).map_err(|e| io(e, "create store dir"))?;
-        std::fs::write(&tmp, &bytes).map_err(|e| io(e, "write temporary"))?;
-        std::fs::rename(&tmp, &target).map_err(|e| io(e, "rename into generation"))?;
+        std::fs::create_dir_all(&self.dir)
+            .map_err(|e| corrupt(&target, format!("create store dir: {e}")))?;
+        if let Err((what, e)) = self.write_durably(&tmp, &target, &bytes) {
+            // The write's error is the one to report; a temporary that is
+            // already gone is not a second failure.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(corrupt(&target, format!("{what}: {e}")));
+        }
         tracker.record_ckpt_write(bytes.len());
         span.end();
         Ok(target)
@@ -156,42 +191,47 @@ impl CheckpointStore {
     /// previous one.
     ///
     /// # Errors
-    /// [`RuntimeError::CorruptCheckpoint`] when no generation validates,
+    /// [`RuntimeError::CorruptCheckpoint`] when no generation validates (or
+    /// the file's element width differs from `T`'s),
     /// [`RuntimeError::TrackerMismatch`] when the file's processor count
     /// differs from the tracker's.
     pub fn restore<T: Element>(&self, tracker: &CommTracker) -> Result<RestoredCheckpoint<T>> {
         let span = trace::OpenSpan::begin_with(trace::Phase::CkptRead, || {
             format!("restore from {}", self.dir.display())
         });
-        // Newest first, falling back across generations only on
-        // *corruption* — a structural mismatch against the live machine
-        // (wrong element width, wrong processor count) is a caller error
-        // every generation shares, so it propagates immediately.
-        let mut candidates: Vec<(u64, PathBuf, Vec<u8>)> = self
-            .scan_generations()
-            .into_iter()
-            .flatten()
-            .map(|(step, (path, bytes))| (step, path, bytes))
-            .collect();
-        candidates.sort_by_key(|(step, _, _)| std::cmp::Reverse(*step));
-        let mut last_err: Option<RuntimeError> = None;
-        for (_, path, bytes) in candidates {
-            match decode_checkpoint::<T>(&bytes, &path, tracker) {
+        let mut failures = Vec::new();
+        for path in self.newest_first() {
+            let bytes = match std::fs::read(&path) {
+                Ok(bytes) => bytes,
+                Err(e) => {
+                    failures.push(corrupt(&path, format!("read: {e}")).to_string());
+                    continue;
+                }
+            };
+            let manifest = match validate(&bytes, &path) {
+                Ok(manifest) => manifest,
+                Err(e) => {
+                    failures.push(e.to_string());
+                    continue;
+                }
+            };
+            // A mismatch with the restoring side is a caller error every
+            // generation shares, so it propagates instead of falling back.
+            manifest.check_restorable::<T>(&path, tracker)?;
+            match decode_checkpoint::<T>(&manifest, &path) {
                 Ok(restored) => {
                     tracker.record_ckpt_read(bytes.len());
                     span.end();
                     return Ok(restored);
                 }
-                Err(e @ RuntimeError::CorruptCheckpoint { .. }) => last_err = Some(e),
-                Err(e) => return Err(e),
+                Err(e) => failures.push(e.to_string()),
             }
         }
-        Err(last_err.unwrap_or_else(|| {
-            corrupt(
-                &self.dir,
-                "no restorable checkpoint generation in the store",
-            )
-        }))
+        let mut reason = String::from("no restorable checkpoint generation in the store");
+        if !failures.is_empty() {
+            reason = format!("{reason} ({})", failures.join("; "));
+        }
+        Err(corrupt(&self.dir, reason))
     }
 
     /// Restores the newest valid generation and redistributes it into the
@@ -223,31 +263,80 @@ impl CheckpointStore {
         Ok(restored)
     }
 
-    /// Reads and structurally validates both generation slots; `None` for
-    /// a missing or invalid slot.
-    #[allow(clippy::type_complexity)]
-    fn scan_generations(&self) -> [Option<(u64, (PathBuf, Vec<u8>))>; 2] {
-        self.generation_paths().map(|path| {
-            let bytes = std::fs::read(&path).ok()?;
-            let step = validate_structure(&bytes, &path).ok()?;
-            Some((step, (path, bytes)))
-        })
+    /// The generation slots present on disk, newest first by the step in
+    /// their header.  Only the header is read; a slot whose header cannot
+    /// be read sorts last, since it can only fail validation.
+    fn newest_first(&self) -> Vec<PathBuf> {
+        let mut slots: Vec<(Option<u64>, PathBuf)> = self
+            .generation_paths()
+            .into_iter()
+            .filter(|path| path.exists())
+            .map(|path| (header_step(&path), path))
+            .collect();
+        slots.sort_by_key(|(step, _)| std::cmp::Reverse(*step));
+        slots.into_iter().map(|(_, path)| path).collect()
     }
 
     /// The slot a save overwrites: an empty/invalid slot first, otherwise
-    /// the one holding the older generation.
+    /// the one holding the older generation.  Reads and validates each
+    /// slot once.
     fn save_slot(&self) -> PathBuf {
-        let scans = self.scan_generations();
-        let paths = self.generation_paths();
-        match (&scans[0], &scans[1]) {
-            (None, _) => paths.into_iter().next().expect("two slots"),
-            (Some(_), None) => paths.into_iter().nth(1).expect("two slots"),
-            (Some((a, _)), Some((b, _))) => {
-                let older = if a <= b { 0 } else { 1 };
-                paths.into_iter().nth(older).expect("two slots")
-            }
+        let [first, second] = self.generation_paths().map(|path| {
+            let step = std::fs::read(&path)
+                .ok()
+                .and_then(|bytes| validate(&bytes, &path).ok().map(|m| m.step));
+            (path, step)
+        });
+        match (first.1, second.1) {
+            (Some(a), Some(b)) if a > b => second.0,
+            (Some(_), None) => second.0,
+            _ => first.0,
         }
     }
+
+    /// Writes `bytes` to `tmp`, syncs it, renames it over `target` and
+    /// syncs the store directory, so the new generation is on stable
+    /// storage when this returns.  Errors carry the step that failed.
+    fn write_durably(
+        &self,
+        tmp: &Path,
+        target: &Path,
+        bytes: &[u8],
+    ) -> std::result::Result<(), (&'static str, std::io::Error)> {
+        let mut file = std::fs::File::create(tmp).map_err(|e| ("create temporary", e))?;
+        file.write_all(bytes).map_err(|e| ("write temporary", e))?;
+        {
+            let _sync = trace::OpenSpan::begin_static(trace::Phase::CkptSync, "temporary");
+            file.sync_all().map_err(|e| ("sync temporary", e))?;
+        }
+        drop(file);
+        std::fs::rename(tmp, target).map_err(|e| ("rename into generation", e))?;
+        let _sync = trace::OpenSpan::begin_static(trace::Phase::CkptSync, "store directory");
+        sync_dir(&self.dir).map_err(|e| ("sync store directory", e))
+    }
+}
+
+/// Makes a rename inside `dir` durable.
+#[cfg(unix)]
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// Directories cannot be opened for syncing here; the file itself was
+/// synced before the rename.
+#[cfg(not(unix))]
+fn sync_dir(_dir: &Path) -> std::io::Result<()> {
+    Ok(())
+}
+
+/// The step stored in a generation's header, without validating the file.
+fn header_step(path: &Path) -> Option<u64> {
+    let mut header = [0u8; 16];
+    std::fs::File::open(path)
+        .ok()?
+        .read_exact(&mut header)
+        .ok()?;
+    Some(le_u64(&header[MAGIC.len()..]))
 }
 
 fn corrupt(path: &Path, reason: impl Into<String>) -> RuntimeError {
@@ -257,43 +346,108 @@ fn corrupt(path: &Path, reason: impl Into<String>) -> RuntimeError {
     }
 }
 
-/// FNV-1a 64 — position-sensitive (unlike a plain xor), so truncations,
-/// byte swaps and torn tails all change the trailer.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
+fn le_u64(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().expect("an 8-byte word"))
+}
+
+/// One lane step: a bijection of `word` for a fixed lane, and of the lane
+/// for a fixed word.
+#[inline]
+fn lane_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(MUL).rotate_left(29)
+}
+
+/// A bijective finaliser: an odd multiply, then an xor-shift.
+#[inline]
+fn mix(h: u64) -> u64 {
+    let h = h.wrapping_mul(MUL);
+    h ^ (h >> 32)
+}
+
+/// The checkpoint trailer hash: word-at-a-time and position-sensitive.
+///
+/// Word `i` (little-endian, the last one zero-padded) feeds lane `i % 4`;
+/// the lanes are folded in order and the byte length last.  Every step is
+/// a bijection of the word it consumes and of the state it carries, so a
+/// change confined to one word always changes the result, and a change of
+/// length with the same words (zero-extension) does too.
+pub fn file_hash(bytes: &[u8]) -> u64 {
+    const LANES: usize = 4;
+    let mut lanes: [u64; LANES] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = lane_step(*lane, le_u64(word));
+        }
     }
-    h
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        *lane = lane_step(*lane, u64::from_le_bytes(padded));
+    }
+    let h = lanes.into_iter().fold(0, |h, lane| mix(h ^ lane));
+    mix(h ^ bytes.len() as u64)
+}
+
+/// A segment's stored checksum: the wire checksum of its elements, keyed by
+/// its rank so that two segments of equal length cannot trade places.
+fn segment_checksum<T: Element>(rank: usize, local: &[T]) -> u64 {
+    wire_checksum(local) ^ (rank as u64 + 1).wrapping_mul(MUL)
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encodes the whole checkpoint (manifest, per-rank segments, trailer).
+/// Encodes the whole checkpoint (manifest, per-rank segments, trailer)
+/// into a buffer allocated once at its final size.
 fn encode_checkpoint<T: Element>(array: &DistArray<T>, step: u64) -> Vec<u8> {
     let dist = array.dist();
-    let mut buf = Vec::new();
+    let domain = dist.domain();
+    let nprocs = dist.num_procs();
+    let dims = dist.dist_type().dims();
+    let descriptor_words: usize = dims
+        .iter()
+        .map(|dim| match dim {
+            DimDist::Block | DimDist::NotDistributed => 1,
+            DimDist::Cyclic(_) => 2,
+            DimDist::GenBlock(sizes) => 2 + sizes.len(),
+            DimDist::Indirect(map) => 2 + map.len(),
+        })
+        .sum();
+    let segment_bytes: usize = (0..nprocs)
+        .map(|p| SEGMENT_HEADER_BYTES + array.local(ProcId(p)).len() * T::BYTES)
+        .sum();
+    // magic; step, width, name length; name; rank; bounds; nprocs;
+    // descriptors; fingerprint; segments; trailer.
+    let size = MAGIC.len()
+        + 8 * 3
+        + array.name().len()
+        + 8
+        + 16 * domain.rank()
+        + 8
+        + 8 * descriptor_words
+        + 8
+        + segment_bytes
+        + TRAILER_BYTES;
+    let mut buf = Vec::with_capacity(size);
     buf.extend_from_slice(MAGIC);
     put_u64(&mut buf, step);
     put_u64(&mut buf, T::BYTES as u64);
     put_u64(&mut buf, array.name().len() as u64);
     buf.extend_from_slice(array.name().as_bytes());
-    let domain = dist.domain();
     put_u64(&mut buf, domain.rank() as u64);
     for d in 0..domain.rank() {
-        put_i64(&mut buf, domain.dim(d).lower());
-        put_i64(&mut buf, domain.dim(d).upper());
+        buf.extend_from_slice(&domain.dim(d).lower().to_le_bytes());
+        buf.extend_from_slice(&domain.dim(d).upper().to_le_bytes());
     }
-    let nprocs = dist.num_procs();
     put_u64(&mut buf, nprocs as u64);
-    for dim in dist.dist_type().dims() {
+    for dim in dims {
         match dim {
             DimDist::Block => put_u64(&mut buf, TAG_BLOCK),
             DimDist::Cyclic(k) => {
@@ -319,22 +473,16 @@ fn encode_checkpoint<T: Element>(array: &DistArray<T>, step: u64) -> Vec<u8> {
     }
     put_u64(&mut buf, dist.fingerprint());
     for p in 0..nprocs {
-        let runs = dist.local_linear_runs(ProcId(p));
         let local = array.local(ProcId(p));
-        put_u64(&mut buf, runs.len() as u64);
-        for run in &runs {
-            let elems = &local[run.local_start..run.local_start + run.len];
-            put_u64(&mut buf, run.local_start as u64);
-            put_u64(&mut buf, run.global_start as u64);
-            put_u64(&mut buf, run.len as u64);
-            put_u64(&mut buf, wire_checksum(elems));
-            for e in elems {
-                e.write_bytes(&mut buf);
-            }
+        put_u64(&mut buf, local.len() as u64);
+        put_u64(&mut buf, segment_checksum(p, local));
+        for e in local {
+            e.write_bytes(&mut buf);
         }
     }
-    let trailer = fnv1a(&buf);
+    let trailer = file_hash(&buf);
     put_u64(&mut buf, trailer);
+    debug_assert_eq!(buf.len(), size, "the size computation matches the encoding");
     buf
 }
 
@@ -347,6 +495,14 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn new(bytes: &'a [u8], path: &'a Path) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            path,
+        }
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         let end = self
             .pos
@@ -359,15 +515,14 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self, what: &str) -> Result<u64> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.take(8, what).map(le_u64)
     }
 
     fn i64(&mut self, what: &str) -> Result<i64> {
-        let b = self.take(8, what)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8-byte slice")))
+        self.u64(what).map(|v| v as i64)
     }
 
+    /// A value with a fixed sanity bound.
     fn usize(&mut self, what: &str, limit: usize) -> Result<usize> {
         let v = self.u64(what)?;
         if v > limit as u64 {
@@ -378,125 +533,143 @@ impl<'a> Reader<'a> {
         }
         Ok(v as usize)
     }
+
+    /// A count of items of `unit` bytes each, which the rest of the file
+    /// must still hold — so no count read from a file can size an
+    /// allocation beyond the file itself.
+    fn count(&mut self, what: &str, unit: usize) -> Result<usize> {
+        let v = self.u64(what)?;
+        let left = self.bytes.len() - self.pos;
+        if v > (left / unit) as u64 {
+            return Err(corrupt(
+                self.path,
+                format!("{what} {v} exceeds what the {left} bytes left can hold"),
+            ));
+        }
+        Ok(v as usize)
+    }
 }
 
-/// The decoded manifest: everything before the per-rank segments.
-struct Manifest {
+/// One dimension descriptor as stored, its tables left as file bytes.
+enum StoredDim<'a> {
+    Block,
+    Cyclic(usize),
+    GenBlock(&'a [u8]),
+    Indirect(&'a [u8]),
+    NotDistributed,
+}
+
+fn read_dim<'a>(reader: &mut Reader<'a>, d: usize) -> Result<StoredDim<'a>> {
+    Ok(match reader.u64("distribution tag")? {
+        TAG_BLOCK => StoredDim::Block,
+        TAG_CYCLIC => StoredDim::Cyclic(reader.usize("cyclic width", 1 << 32)?),
+        TAG_GEN_BLOCK => {
+            let count = reader.count("general-block count", 8)?;
+            StoredDim::GenBlock(reader.take(8 * count, "general-block sizes")?)
+        }
+        TAG_INDIRECT => {
+            let count = reader.count("indirect map length", 8)?;
+            StoredDim::Indirect(reader.take(8 * count, "indirect owners")?)
+        }
+        TAG_NOT_DISTRIBUTED => StoredDim::NotDistributed,
+        other => {
+            return Err(corrupt(
+                reader.path,
+                format!("unknown distribution tag {other} in dimension {d}"),
+            ))
+        }
+    })
+}
+
+/// One rank's segment: its element count, stored checksum and payload.
+fn read_segment<'a>(reader: &mut Reader<'a>, elem_bytes: usize) -> Result<(usize, u64, &'a [u8])> {
+    let len = reader.count("segment length", elem_bytes)?;
+    let checksum = reader.u64("segment checksum")?;
+    let payload = reader.take(len * elem_bytes, "segment payload")?;
+    Ok((len, checksum, payload))
+}
+
+/// A generation that passed [`validate`]: the manifest fields, with the
+/// variable-length parts left as ranges of the file.
+struct Manifest<'a> {
     step: u64,
     elem_bytes: usize,
-    name: String,
-    bounds: Vec<(i64, i64)>,
+    name: &'a str,
     nprocs: usize,
-    dims: Vec<DimDist>,
+    /// `rank` pairs of (lower, upper) bounds.
+    bounds: &'a [u8],
+    /// `rank` dimension descriptors.
+    dims: &'a [u8],
     fingerprint: u64,
+    /// `nprocs` segments.
+    segments: &'a [u8],
 }
 
-/// Parses manifest fields and leaves the reader positioned at the first
-/// per-rank segment.
-fn parse_manifest<'a>(reader: &mut Reader<'a>) -> Result<Manifest> {
-    let path = reader.path;
-    let magic = reader.take(MAGIC.len(), "magic")?;
-    if magic != MAGIC {
-        return Err(corrupt(path, "bad magic (not a VFCKPT01 file)"));
+impl Manifest<'_> {
+    /// Checks what every generation of a store shares with the restoring
+    /// side: the element width and the processor count.
+    fn check_restorable<T: Element>(&self, path: &Path, tracker: &CommTracker) -> Result<()> {
+        if self.elem_bytes != T::BYTES {
+            return Err(corrupt(
+                path,
+                format!(
+                    "element width mismatch: file has {}-byte elements, restoring {}-byte",
+                    self.elem_bytes,
+                    T::BYTES
+                ),
+            ));
+        }
+        if self.nprocs != tracker.num_procs() {
+            return Err(RuntimeError::TrackerMismatch {
+                tracker_procs: tracker.num_procs(),
+                dist_procs: self.nprocs,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Validates everything that does not need the element type — trailer
+/// hash, magic, manifest structure and segment framing — in one hash pass
+/// and one walk that allocates nothing.
+fn validate<'a>(bytes: &'a [u8], path: &'a Path) -> Result<Manifest<'a>> {
+    if bytes.len() < MAGIC.len() + TRAILER_BYTES {
+        return Err(corrupt(path, "file shorter than magic + trailer"));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - TRAILER_BYTES);
+    if file_hash(body) != le_u64(trailer) {
+        return Err(corrupt(path, "whole-file checksum mismatch (torn write?)"));
+    }
+    let mut reader = Reader::new(body, path);
+    if reader.take(MAGIC.len(), "magic")? != MAGIC {
+        return Err(corrupt(path, "bad magic (not a VFCKPT02 file)"));
     }
     let step = reader.u64("step")?;
     let elem_bytes = reader.usize("element width", 64)?;
     if elem_bytes == 0 {
         return Err(corrupt(path, "element width 0"));
     }
-    let name_len = reader.usize("name length", 4096)?;
+    let name_len = reader.count("name length", 1)?;
     let name = std::str::from_utf8(reader.take(name_len, "name")?)
-        .map_err(|_| corrupt(path, "array name is not UTF-8"))?
-        .to_string();
-    let rank = reader.usize("domain rank", 16)?;
+        .map_err(|_| corrupt(path, "array name is not UTF-8"))?;
+    let rank = reader.count("domain rank", 16)?;
     if rank == 0 {
         return Err(corrupt(path, "domain rank 0"));
     }
-    let mut bounds = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        let lower = reader.i64("domain lower bound")?;
-        let upper = reader.i64("domain upper bound")?;
-        bounds.push((lower, upper));
-    }
-    let nprocs = reader.usize("processor count", 1 << 20)?;
+    let bounds = reader.take(16 * rank, "domain bounds")?;
+    let nprocs = reader.count("processor count", SEGMENT_HEADER_BYTES)?;
     if nprocs == 0 {
         return Err(corrupt(path, "processor count 0"));
     }
-    let mut dims = Vec::with_capacity(rank);
+    let dims_start = reader.pos;
     for d in 0..rank {
-        let tag = reader.u64("distribution tag")?;
-        let dim = match tag {
-            TAG_BLOCK => DimDist::block(),
-            TAG_CYCLIC => DimDist::cyclic_k(reader.usize("cyclic width", 1 << 32)?),
-            TAG_GEN_BLOCK => {
-                let count = reader.usize("general-block count", 1 << 20)?;
-                let mut sizes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    sizes.push(reader.usize("general-block size", 1 << 40)?);
-                }
-                DimDist::gen_block(sizes)
-            }
-            TAG_INDIRECT => {
-                let count = reader.usize("indirect map length", 1 << 32)?;
-                let mut owners = Vec::with_capacity(count);
-                for _ in 0..count {
-                    owners.push(reader.usize("indirect owner", 1 << 20)?);
-                }
-                DimDist::indirect(Arc::new(
-                    IndirectMap::new(owners)
-                        .map_err(|e| corrupt(path, format!("invalid indirect map: {e}")))?,
-                ))
-            }
-            TAG_NOT_DISTRIBUTED => DimDist::not_distributed(),
-            other => {
-                return Err(corrupt(
-                    path,
-                    format!("unknown distribution tag {other} in dimension {d}"),
-                ))
-            }
-        };
-        dims.push(dim);
+        read_dim(&mut reader, d)?;
     }
+    let dims = &body[dims_start..reader.pos];
     let fingerprint = reader.u64("distribution fingerprint")?;
-    Ok(Manifest {
-        step,
-        elem_bytes,
-        name,
-        bounds,
-        nprocs,
-        dims,
-        fingerprint,
-    })
-}
-
-/// Validates everything that does not need the element type: trailer
-/// checksum, magic, manifest structure and segment framing.  Returns the
-/// manifest step.
-fn validate_structure(bytes: &[u8], path: &Path) -> Result<u64> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(corrupt(path, "file shorter than magic + trailer"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte slice"));
-    if fnv1a(body) != stored {
-        return Err(corrupt(path, "whole-file checksum mismatch (torn write?)"));
-    }
-    let mut reader = Reader {
-        bytes: body,
-        pos: 0,
-        path,
-    };
-    let manifest = parse_manifest(&mut reader)?;
-    for p in 0..manifest.nprocs {
-        let run_count = reader.usize("segment run count", 1 << 32)?;
-        for _ in 0..run_count {
-            let _local_start = reader.u64("run local start")?;
-            let _global_start = reader.u64("run global start")?;
-            let len = reader.usize("run length", 1 << 40)?;
-            let _checksum = reader.u64("run checksum")?;
-            reader.take(len * manifest.elem_bytes, "run payload")?;
-        }
-        let _ = p;
+    let segments_start = reader.pos;
+    for _ in 0..nprocs {
+        read_segment(&mut reader, elem_bytes)?;
     }
     if reader.pos != body.len() {
         return Err(corrupt(
@@ -507,17 +680,93 @@ fn validate_structure(bytes: &[u8], path: &Path) -> Result<u64> {
             ),
         ));
     }
-    Ok(manifest.step)
+    Ok(Manifest {
+        step,
+        elem_bytes,
+        name,
+        nprocs,
+        bounds,
+        dims,
+        fingerprint,
+        segments: &body[segments_start..],
+    })
+}
+
+/// The stored index domain, rejecting bounds whose extents or element
+/// count overflow.
+fn stored_domain(bounds: &[u8], path: &Path) -> Result<IndexDomain> {
+    let mut reader = Reader::new(bounds, path);
+    let mut pairs = Vec::with_capacity(bounds.len() / 16);
+    let mut size = 1usize;
+    while reader.pos < bounds.len() {
+        let (lower, upper) = (reader.i64("lower bound")?, reader.i64("upper bound")?);
+        size = upper
+            .checked_sub(lower)
+            .and_then(|d| d.checked_add(1))
+            .filter(|_| lower > i64::MIN)
+            .and_then(|extent| usize::try_from(extent).ok())
+            .and_then(|extent| size.checked_mul(extent))
+            .ok_or_else(|| {
+                corrupt(
+                    path,
+                    format!("stored domain bound {lower}:{upper} is out of range"),
+                )
+            })?;
+        pairs.push((lower, upper));
+    }
+    IndexDomain::of_bounds(&pairs).map_err(|e| corrupt(path, format!("invalid stored domain: {e}")))
+}
+
+fn gen_block_sizes(bytes: &[u8], path: &Path) -> Result<Vec<usize>> {
+    let mut sizes = Vec::with_capacity(bytes.len() / 8);
+    let mut total = 0usize;
+    for word in bytes.chunks_exact(8) {
+        let size = usize::try_from(le_u64(word))
+            .ok()
+            .filter(|&s| total.checked_add(s).is_some())
+            .ok_or_else(|| corrupt(path, "general-block sizes overflow"))?;
+        total += size;
+        sizes.push(size);
+    }
+    Ok(sizes)
+}
+
+fn indirect_map(bytes: &[u8], nprocs: usize, path: &Path) -> Result<IndirectMap> {
+    let mut owners = Vec::with_capacity(bytes.len() / 8);
+    for word in bytes.chunks_exact(8) {
+        let owner = le_u64(word);
+        if owner >= nprocs as u64 {
+            return Err(corrupt(
+                path,
+                format!("indirect owner {owner} is not below the processor count {nprocs}"),
+            ));
+        }
+        owners.push(owner as usize);
+    }
+    IndirectMap::new(owners).map_err(|e| corrupt(path, format!("invalid indirect map: {e}")))
 }
 
 /// Rebuilds the distribution described by a manifest (linear processor
 /// view; the fingerprint cross-check catches anything the descriptor
 /// cannot represent).
 fn rebuild_distribution(manifest: &Manifest, path: &Path) -> Result<Distribution> {
-    let domain = IndexDomain::of_bounds(&manifest.bounds)
-        .map_err(|e| corrupt(path, format!("invalid stored domain: {e}")))?;
+    let domain = stored_domain(manifest.bounds, path)?;
+    let mut reader = Reader::new(manifest.dims, path);
+    let dims = (0..domain.rank())
+        .map(|d| {
+            Ok(match read_dim(&mut reader, d)? {
+                StoredDim::Block => DimDist::block(),
+                StoredDim::Cyclic(k) => DimDist::cyclic_k(k),
+                StoredDim::GenBlock(sizes) => DimDist::gen_block(gen_block_sizes(sizes, path)?),
+                StoredDim::Indirect(owners) => {
+                    DimDist::indirect(Arc::new(indirect_map(owners, manifest.nprocs, path)?))
+                }
+                StoredDim::NotDistributed => DimDist::not_distributed(),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
     let dist = Distribution::new(
-        DistType::new(manifest.dims.clone()),
+        DistType::new(dims),
         domain,
         ProcessorView::linear(manifest.nprocs),
     )
@@ -536,75 +785,39 @@ fn rebuild_distribution(manifest: &Manifest, path: &Path) -> Result<Distribution
     Ok(dist)
 }
 
-/// Fully decodes one validated generation into a typed array.
+/// Decodes a validated generation whose element width is `T`'s straight
+/// into the locals of a new array.
 fn decode_checkpoint<T: Element>(
-    bytes: &[u8],
+    manifest: &Manifest,
     path: &Path,
-    tracker: &CommTracker,
 ) -> Result<RestoredCheckpoint<T>> {
-    validate_structure(bytes, path)?;
-    let body = &bytes[..bytes.len() - 8];
-    let mut reader = Reader {
-        bytes: body,
-        pos: 0,
-        path,
-    };
-    let manifest = parse_manifest(&mut reader)?;
-    if manifest.elem_bytes != T::BYTES {
-        return Err(corrupt(
-            path,
-            format!(
-                "element width mismatch: file has {}-byte elements, restoring {}-byte",
-                manifest.elem_bytes,
-                T::BYTES
-            ),
-        ));
-    }
-    if manifest.nprocs != tracker.num_procs() {
-        return Err(RuntimeError::TrackerMismatch {
-            tracker_procs: tracker.num_procs(),
-            dist_procs: manifest.nprocs,
-        });
-    }
-    let dist = rebuild_distribution(&manifest, path)?;
-    let mut array = DistArray::<T>::new(manifest.name.clone(), dist.clone());
+    let dist = rebuild_distribution(manifest, path)?;
+    // Every segment must hold exactly its rank's local elements before
+    // anything is allocated for them.
+    let mut reader = Reader::new(manifest.segments, path);
     for p in 0..manifest.nprocs {
-        let expected = dist.local_linear_runs(ProcId(p));
-        let run_count = reader.usize("segment run count", 1 << 32)?;
-        if run_count != expected.len() {
+        let (len, _, _) = read_segment(&mut reader, T::BYTES)?;
+        let expected = dist.local_size(ProcId(p));
+        if len != expected {
             return Err(corrupt(
                 path,
-                format!(
-                    "rank {p} has {run_count} stored runs but the distribution lays out {}",
-                    expected.len()
-                ),
+                format!("rank {p} stores {len} elements but the distribution gives it {expected}"),
             ));
         }
-        let local = &mut array.locals_mut()[p];
-        for run in &expected {
-            let local_start = reader.usize("run local start", 1 << 40)?;
-            let global_start = reader.usize("run global start", 1 << 40)?;
-            let len = reader.usize("run length", 1 << 40)?;
-            if (local_start, global_start, len) != (run.local_start, run.global_start, run.len) {
-                return Err(corrupt(
-                    path,
-                    format!(
-                        "rank {p} segment ({local_start}, {global_start}, {len}) does not match \
-                         the distribution's run ({}, {}, {})",
-                        run.local_start, run.global_start, run.len
-                    ),
-                ));
-            }
-            let checksum = reader.u64("run checksum")?;
-            let payload = reader.take(len * T::BYTES, "run payload")?;
-            let elems: Vec<T> = crate::decode_slice(payload);
-            if wire_checksum(&elems) != checksum {
-                return Err(corrupt(
-                    path,
-                    format!("rank {p} segment at local offset {local_start} fails its checksum"),
-                ));
-            }
-            local[local_start..local_start + len].copy_from_slice(&elems);
+    }
+    let mut array = DistArray::<T>::new(manifest.name, dist);
+    let mut reader = Reader::new(manifest.segments, path);
+    for p in 0..manifest.nprocs {
+        let (_, checksum, payload) = read_segment(&mut reader, T::BYTES)?;
+        let local = array.local_mut(ProcId(p));
+        for (value, bytes) in local.iter_mut().zip(payload.chunks_exact(T::BYTES)) {
+            *value = T::read_bytes(bytes);
+        }
+        if segment_checksum(p, local) != checksum {
+            return Err(corrupt(
+                path,
+                format!("rank {p} segment fails its checksum"),
+            ));
         }
     }
     array.broadcast_canonical();
@@ -757,5 +970,52 @@ mod tests {
             other => panic!("expected CorruptCheckpoint, got {other:?}"),
         }
         assert_eq!(store.latest_step(), None);
+    }
+
+    /// A deterministic 67-byte buffer: eight full words and a 3-byte tail.
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(37) ^ 0x5a)
+            .collect()
+    }
+
+    #[test]
+    fn file_hash_detects_every_single_bit_flip() {
+        let bytes = sample(67);
+        let h = file_hash(&bytes);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(file_hash(&flipped), h, "bit {bit} flip undetected");
+        }
+    }
+
+    #[test]
+    fn file_hash_detects_truncation_and_zero_extension() {
+        let bytes = sample(67);
+        let h = file_hash(&bytes);
+        for cut in 1..=8 {
+            assert_ne!(file_hash(&bytes[..67 - cut]), h, "truncation by {cut}");
+        }
+        for extra in 1..=9 {
+            let mut extended = bytes.clone();
+            extended.resize(67 + extra, 0);
+            assert_ne!(file_hash(&extended), h, "zero-extension by {extra}");
+        }
+    }
+
+    #[test]
+    fn file_hash_detects_swapped_words_within_and_across_lanes() {
+        let bytes = sample(67);
+        let h = file_hash(&bytes);
+        // Words 0 and 4 share lane 0; words 0 and 1 sit in different lanes.
+        for (a, b) in [(0, 4), (0, 1), (3, 7)] {
+            assert_ne!(bytes[8 * a..8 * a + 8], bytes[8 * b..8 * b + 8]);
+            let mut swapped = bytes.clone();
+            for i in 0..8 {
+                swapped.swap(8 * a + i, 8 * b + i);
+            }
+            assert_ne!(file_hash(&swapped), h, "swap of words {a} and {b}");
+        }
     }
 }

@@ -26,6 +26,7 @@ use vf_apps::workloads;
 use vf_core::prelude::*;
 use vf_integration::{dist_1d, zero_machine};
 use vf_machine::{FaultKind, FaultPlan};
+use vf_runtime::checkpoint::file_hash;
 use vf_runtime::RuntimeError;
 
 static STORE_ID: AtomicUsize = AtomicUsize::new(0);
@@ -166,6 +167,141 @@ fn corrupting_both_generations_reports_the_store() {
         Err(RuntimeError::CorruptCheckpoint { .. }) => {}
         other => panic!("expected CorruptCheckpoint for the whole store, got {other:?}"),
     }
+    drop_store(&store);
+}
+
+/// Recomputes the trailer after a deliberate edit, so that only the checks
+/// inside the file can catch it.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let trailer = file_hash(&bytes[..body]);
+    bytes[body..].copy_from_slice(&trailer.to_le_bytes());
+}
+
+/// Byte offset of the first manifest field after the name: magic, step,
+/// element width and name length are one word each.
+fn after_name(name: &str) -> usize {
+    4 * 8 + name.len()
+}
+
+/// Saves one generation of a 1-D array and returns its file's bytes.
+fn saved_generation(store: &CheckpointStore, dist: Distribution, data: &[f64]) -> Vec<u8> {
+    let tracker = CommTracker::new(dist.num_procs(), CostModel::zero());
+    let array = DistArray::from_dense("H", dist, data).unwrap();
+    let path = store.save(&array, 1, &tracker).unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Rewrites the store's only generation and expects its restore to fail
+/// with a store-level `CorruptCheckpoint` whose reason contains `expect`.
+fn assert_rejected(store: &CheckpointStore, bytes: &[u8], p: usize, expect: &str) {
+    std::fs::write(&store.generation_paths()[0], bytes).unwrap();
+    let tracker = CommTracker::new(p, CostModel::zero());
+    match store.restore::<f64>(&tracker) {
+        Err(RuntimeError::CorruptCheckpoint { reason, .. }) => {
+            assert!(reason.contains(expect), "{expect:?} not in {reason:?}")
+        }
+        other => panic!("expected CorruptCheckpoint ({expect}), got {other:?}"),
+    }
+}
+
+#[test]
+fn a_flipped_payload_word_is_caught_by_its_segment_checksum() {
+    let store = fresh_store("payload_word");
+    let data = payload(16, 9);
+    let mut bytes = saved_generation(&store, make_dist(0, 16, 2, 9), &data);
+    let word = data[11].to_le_bytes();
+    let at = bytes
+        .windows(8)
+        .position(|w| w == word)
+        .expect("payload is stored");
+    bytes[at..at + 8].copy_from_slice(&(-data[11]).to_le_bytes());
+    reseal(&mut bytes);
+    assert_rejected(&store, &bytes, 2, "fails its checksum");
+    drop_store(&store);
+}
+
+#[test]
+fn swapped_rank_segments_are_caught() {
+    let store = fresh_store("segment_swap");
+    // BLOCK 16 over 2: both segments hold 8 elements, so the lengths match
+    // after the swap and only the rank-keyed checksums can tell.
+    let mut bytes = saved_generation(&store, make_dist(0, 16, 2, 4), &payload(16, 4));
+    let segment = 16 + 8 * 8;
+    let second = bytes.len() - 8 - segment;
+    let first = second - segment;
+    let (head, tail) = bytes.split_at_mut(second);
+    head[first..].swap_with_slice(&mut tail[..segment]);
+    reseal(&mut bytes);
+    assert_rejected(&store, &bytes, 2, "fails its checksum");
+    drop_store(&store);
+}
+
+#[test]
+fn a_version_one_file_is_a_bad_magic_error() {
+    let store = fresh_store("v1_magic");
+    let mut bytes = saved_generation(&store, make_dist(0, 16, 2, 1), &payload(16, 1));
+    bytes[..8].copy_from_slice(b"VFCKPT01");
+    reseal(&mut bytes);
+    assert_rejected(&store, &bytes, 2, "bad magic");
+    drop_store(&store);
+}
+
+/// An INDIRECT owner count of 2^31 must be refused from the bytes left in
+/// the file, not attempted as a 16 GiB allocation.
+#[test]
+fn a_crafted_owner_count_is_refused_without_allocating() {
+    let store = fresh_store("owner_count");
+    let mut bytes = saved_generation(&store, make_dist(2, 16, 2, 5), &payload(16, 5));
+    // rank, one (lower, upper) pair, nprocs, then the INDIRECT tag.
+    let count_at = after_name("H") + 8 + 16 + 8 + 8;
+    assert_eq!(bytes[count_at..count_at + 8], 16u64.to_le_bytes());
+    bytes[count_at..count_at + 8].copy_from_slice(&(1u64 << 31).to_le_bytes());
+    reseal(&mut bytes);
+    assert_rejected(&store, &bytes, 2, "indirect map length");
+    drop_store(&store);
+}
+
+/// A 2^60-element domain with a matching fingerprint must be refused by
+/// the segment-length check before the array is allocated.
+#[test]
+fn a_crafted_domain_is_refused_before_allocating() {
+    let store = fresh_store("huge_domain");
+    let mut bytes = saved_generation(&store, make_dist(0, 16, 2, 6), &payload(16, 6));
+    let upper_at = after_name("H") + 8 + 8;
+    assert_eq!(bytes[upper_at..upper_at + 8], 16i64.to_le_bytes());
+    let huge = 1usize << 60;
+    bytes[upper_at..upper_at + 8].copy_from_slice(&(huge as i64).to_le_bytes());
+    let fingerprint_at = upper_at + 8 + 8 + 8;
+    let forged = dist_1d(DistType::block1d(), huge, 2).fingerprint();
+    bytes[fingerprint_at..fingerprint_at + 8].copy_from_slice(&forged.to_le_bytes());
+    reseal(&mut bytes);
+    assert_rejected(&store, &bytes, 2, "rank 0 stores 8 elements");
+    drop_store(&store);
+}
+
+/// A save that cannot rename into its slot reports the failure and leaves
+/// no temporary file behind.
+#[test]
+fn a_failed_save_removes_its_temporary() {
+    let store = fresh_store("blocked_slot");
+    std::fs::create_dir_all(&store.generation_paths()[0]).unwrap();
+    let tracker = CommTracker::new(2, CostModel::zero());
+    let array = DistArray::from_dense("T", make_dist(0, 16, 2, 2), &payload(16, 2)).unwrap();
+    match store.save(&array, 1, &tracker) {
+        Err(RuntimeError::CorruptCheckpoint { .. }) => {}
+        other => panic!("expected CorruptCheckpoint, got {other:?}"),
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(".tmp-"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temporaries left behind: {leftovers:?}"
+    );
+    assert_eq!(tracker.snapshot().ckpt_bytes_written(), 0);
     drop_store(&store);
 }
 

@@ -320,8 +320,9 @@ fn fault_instants_match_comm_stats_counters_exactly() {
 }
 
 /// A traced checkpoint save is marked once — by the `CkptWrite` span
-/// around it — not once per byte written, while the byte ledger in
-/// [`CommStats`] keeps the full count, exactly as in an untraced save.
+/// around it, with one `CkptSync` span per sync inside — not once per
+/// byte written, while the byte ledger in [`CommStats`] keeps the full
+/// count, exactly as in an untraced save.
 #[test]
 fn traced_checkpoint_save_records_constant_events() {
     let _guard = locked_tracing(true);
@@ -340,7 +341,10 @@ fn traced_checkpoint_save_records_constant_events() {
 
     let traced = CommTracker::new(p, CostModel::zero());
     store.save(&array, 1, &traced).unwrap();
-    let events = trace::snapshot().count(trace::Phase::CkptWrite);
+    let snapshot = trace::snapshot();
+    let events = snapshot.count(trace::Phase::CkptWrite);
+    // The file and directory syncs are their own layer.
+    assert_eq!(snapshot.count(trace::Phase::CkptSync), 2);
     trace::set_enabled(false);
     let untraced = CommTracker::new(p, CostModel::zero());
     store.save(&array, 2, &untraced).unwrap();
