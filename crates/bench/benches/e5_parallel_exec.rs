@@ -5,7 +5,9 @@
 //! after reporting, the 256k-element case asserts that the auto-selected
 //! threaded executor is not slower than the serial baseline by more than
 //! 1.5× (a lock-contention or partitioning regression would show up here).
-//! Set `VF_E5_SKIP_GUARD=1` to report without enforcing.
+//! Set `VF_E5_SKIP_GUARD=1` to report without enforcing.  The fused
+//! `DISTRIBUTE` section times unfused and fused on the same threaded
+//! executor and reports `fused_over_unfused` (unguarded).
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -146,7 +148,7 @@ fn main() {
                 &plan,
                 &tracker,
                 &RedistOptions::default(),
-                &SerialExecutor,
+                &threaded,
             )
             .unwrap();
         }
@@ -159,12 +161,15 @@ fn main() {
         execute_redistribute_fused_wire(&mut refs, &fused, &tracker, &threaded).unwrap();
         arrays.len()
     });
+    // Both sides run on the same executor, so the ratio isolates fusion.
+    let fused_over_unfused = secs(t_fused) / secs(t_unfused);
     println!(
-        "one pass, 4 arrays: {:.3e} s unfused serial vs {:.3e} s fused {} ({:.2}x)",
+        "one pass, 4 arrays, both {}: {:.3e} s unfused vs {:.3e} s fused \
+         (fused_over_unfused {:.2})",
+        threaded.name(),
         secs(t_unfused),
         secs(t_fused),
-        threaded.name(),
-        secs(t_unfused) / secs(t_fused)
+        fused_over_unfused
     );
     let fused_bytes = fused.bytes_for(8);
     report.record(
@@ -179,6 +184,9 @@ fn main() {
         fused.num_messages(),
         fused_bytes,
     );
+    report
+        .entry("distribute_4x256k")
+        .ratio("fused_over_unfused", fused_over_unfused);
     report.write("BENCH_e5.json", "VF_E5_BENCH_JSON");
 
     // CI guard: the auto threaded executor must not regress past 1.5x the

@@ -738,9 +738,10 @@ impl<T: Element> VfScope<T> {
                             .expect("phase 2 saw data")
                     })
                     .collect();
-                // The fused statement executes through the wire-layout
-                // path: one packed message per processor pair, pack/unpack
-                // streams on the scope's (pooled) backend.
+                // The fused statement charges one message per processor
+                // pair; in memory the arrays then move one at a time on
+                // the scope's (pooled) backend, over channels on the
+                // sharded one.
                 let result = {
                     let mut refs: Vec<&mut DistArray<T>> = datas.iter_mut().collect();
                     if let ExecBackend::Sharded(sharded) = &self.executor {
@@ -760,8 +761,9 @@ impl<T: Element> VfScope<T> {
                     }
                 };
                 // Put the arrays back whether or not execution succeeded
-                // (a failed fused execute validates before moving, so the
-                // data is unchanged).
+                // (a fused execute validates before moving, and an
+                // unrepairable corrupt message leaves each array either
+                // fully moved or untouched).
                 for (&idx, data) in moving.iter().zip(datas) {
                     self.arrays
                         .get_mut(&works[idx].name)

@@ -128,21 +128,55 @@ pub fn decode_slice<T: Element>(bytes: &[u8]) -> Vec<T> {
 /// sequential sweep at cache speed, which is what keeps framing inside the
 /// e10 bench's 5% overhead guard.  Checkpoint segments carry the same sum.
 pub fn wire_checksum<T: Element>(wire: &[T]) -> u64 {
-    // Eight independent lanes: the loop carries no serial dependency and
-    // vectorises.
-    let mut lanes = [0u64; 8];
-    let mut chunks = wire.chunks_exact(8);
-    for chunk in &mut chunks {
-        for (lane, v) in lanes.iter_mut().zip(chunk) {
-            *lane ^= v.to_bits64();
+    WireSum::of(wire).finish()
+}
+
+/// The running form of [`wire_checksum`]: the xor payload sum is
+/// order-free, so a message can be summed slice by slice — straight from
+/// the scattered runs it is copied from or lands in — and
+/// [`WireSum::finish`] equals `wire_checksum` of the concatenation bit for
+/// bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WireSum {
+    xor: u64,
+    len: u64,
+}
+
+impl WireSum {
+    /// The sum of `values` alone.
+    pub(crate) fn of<T: Element>(values: &[T]) -> Self {
+        Self::default().add(values)
+    }
+
+    /// Folds `values` into the sum.
+    pub(crate) fn add<T: Element>(mut self, values: &[T]) -> Self {
+        // Eight independent lanes: the loop carries no serial dependency
+        // and vectorises.
+        let mut lanes = [0u64; 8];
+        let mut chunks = values.chunks_exact(8);
+        for chunk in &mut chunks {
+            for (lane, v) in lanes.iter_mut().zip(chunk) {
+                *lane ^= v.to_bits64();
+            }
         }
+        self.xor ^= lanes.into_iter().fold(0u64, |h, l| h ^ l);
+        for v in chunks.remainder() {
+            self.xor ^= v.to_bits64();
+        }
+        self.len += values.len() as u64;
+        self
     }
-    let mut acc = lanes.into_iter().fold(0u64, |h, l| h ^ l);
-    for v in chunks.remainder() {
-        acc ^= v.to_bits64();
+
+    /// Elements summed so far.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
     }
-    (acc ^ 0xcbf2_9ce4_8422_2325u64 ^ (wire.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .wrapping_mul(0x100_0000_01b3)
+
+    /// The checksum of everything summed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        (self.xor ^ 0xcbf2_9ce4_8422_2325u64 ^ self.len.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .wrapping_mul(0x100_0000_01b3)
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +224,45 @@ mod tests {
         check(&[0u32, 7]);
         check(&[0u8, 255]);
         check(&[true, false]);
+    }
+
+    #[test]
+    fn wire_sum_over_slices_equals_the_whole_buffer_checksum() {
+        // splitmix64: deterministic buffers and cut points.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for trial in 0..300 {
+            let len = (next() % 70) as usize;
+            let wire: Vec<f64> = (0..len).map(|_| f64::from_bits(next())).collect();
+            // Sorted cut points, repeats allowed: empty slices included.
+            let mut cuts: Vec<usize> = (0..next() % 6)
+                .map(|_| (next() % (len as u64 + 1)) as usize)
+                .collect();
+            cuts.push(0);
+            cuts.push(len);
+            cuts.sort_unstable();
+            let slices: Vec<&[f64]> = cuts.windows(2).map(|w| &wire[w[0]..w[1]]).collect();
+            let sum = slices.iter().fold(WireSum::default(), |s, sl| s.add(sl));
+            assert_eq!(sum.finish(), wire_checksum(&wire), "trial {trial}");
+            assert_eq!(sum.len(), len as u64);
+            if len == 0 {
+                continue;
+            }
+            // A single-bit flip anywhere changes the slice-by-slice sum.
+            let e = (next() % len as u64) as usize;
+            let mut flipped = wire.clone();
+            flipped[e] = flipped[e].flip_bit((next() % 64) as u32);
+            let sum_flipped = cuts
+                .windows(2)
+                .fold(WireSum::default(), |s, w| s.add(&flipped[w[0]..w[1]]));
+            assert_ne!(sum_flipped.finish(), sum.finish(), "trial {trial} flip {e}");
+        }
     }
 
     #[test]

@@ -34,11 +34,15 @@
 //! class — the per-array payloads between one (sender, receiver) pair
 //! travel together instead of as one message per array.  Its codec
 //! methods ([`FusedPlan`]'s `post`, `local_buffers`, `pack`, `seal`,
-//! `check` and `unpack`) are the one wire format every transport speaks:
-//! the blocking shared-memory path here, the split-phase streaming path
-//! below, and the SPMD channel path in [`crate::shard`].
+//! `check` and `unpack`) are the one wire format every transport that
+//! stages a wire speaks: the blocking shared-memory ghost exchange here,
+//! the split-phase streaming path below, and the SPMD channel path in
+//! [`crate::shard`].  The in-memory fused `DISTRIBUTE`
+//! ([`execute_redistribute_fused_wire`]) keeps the fused charge but moves
+//! the class one array at a time through the plain copy loop, with no
+//! staged wire.
 
-use crate::element::wire_checksum;
+use crate::element::WireSum;
 use crate::plan::{CommPlan, PlanIndex, PlanKind, PlanRun, Transfer};
 use crate::{DistArray, Element, RedistReport, Result, RuntimeError};
 use std::collections::{BTreeMap, HashMap};
@@ -879,13 +883,16 @@ impl FusedPlan {
     /// payload slice, in fusion order, tiling `0..total_elements` of the
     /// pair.  Empty when the pair exchanges nothing.
     pub fn wire_slices(&self, src: usize, dst: usize) -> &[FusedSlice] {
-        match self
-            .pair_elements
+        self.message_index(src, dst)
+            .map_or(&[], |i| self.pair_slices[i].as_slice())
+    }
+
+    /// The index of the wire message `src → dst`, if the pair exchanges
+    /// anything.
+    fn message_index(&self, src: usize, dst: usize) -> Option<usize> {
+        self.pair_elements
             .binary_search_by_key(&(src, dst), |&(pair, _)| pair)
-        {
-            Ok(i) => &self.pair_slices[i],
-            Err(_) => &[],
-        }
+            .ok()
     }
 
     /// Messages the fused schedule generates: one per crossing processor
@@ -936,9 +943,13 @@ impl FusedPlan {
     }
 
     // -----------------------------------------------------------------------
-    // The wire codec: every transport (blocking shared memory, split-phase
-    // streaming, SPMD channels) moves a fused exchange through exactly
-    // these methods, so the wire layout exists in one place.
+    // The wire codec: every transport that stages a wire (the blocking
+    // shared-memory ghost exchange, split-phase streaming, SPMD channels)
+    // moves a fused exchange through exactly these methods, so the wire
+    // layout exists in one place.  The in-memory fused `DISTRIBUTE`
+    // (`execute_redistribute_fused_wire`) stages none: it shares `post`,
+    // copies each array with the executor's plain `run_copies`, and frames
+    // its slices with the same `WireSum` only under a fault injector.
     // -----------------------------------------------------------------------
 
     /// Number of processors the fused schedule addresses — the width of
@@ -1054,36 +1065,32 @@ impl FusedPlan {
         wire
     }
 
-    /// Seals packed wire message `pi` into its frame: sequence number
-    /// `seq_base + pi` (from a [`next_wire_seq_block`] reservation), element
-    /// count and [`wire_checksum`] — one contiguous sweep after the pack,
+    /// Seals wire message `pi`, whose payload was summed into `sum`, into
+    /// its frame: sequence number `seq_base + pi` (from a
+    /// [`next_wire_seq_block`] reservation), element count and checksum.
+    /// Summing a packed wire is one contiguous sweep after the pack,
     /// cheaper than folding the xor into the scattered run copies because
     /// plain run copies stay `memcpy`.
-    pub(crate) fn seal<T: Element>(&self, pi: usize, seq_base: u64, wire: &[T]) -> WireFrameMsg {
+    pub(crate) fn seal(&self, pi: usize, seq_base: u64, sum: WireSum) -> WireFrameMsg {
         WireFrameMsg {
             seq: seq_base + pi as u64,
-            elements: wire.len() as u64,
-            checksum: wire_checksum(wire),
+            elements: sum.len(),
+            checksum: sum.finish(),
         }
     }
 
-    /// Checks received wire message `pi` against its frame — length,
-    /// element count and checksum — before any element reaches a
-    /// destination buffer.
+    /// Checks received wire message `pi`, whose payload was summed into
+    /// `sum`, against its frame — length, element count and checksum —
+    /// before any element reaches a destination buffer.
     ///
     /// # Errors
     /// [`RuntimeError::CorruptMessage`] naming the pair and the frame's
     /// sequence number.
-    pub(crate) fn check<T: Element>(
-        &self,
-        pi: usize,
-        wire: &[T],
-        frame: &WireFrameMsg,
-    ) -> Result<()> {
+    pub(crate) fn check(&self, pi: usize, sum: WireSum, frame: &WireFrameMsg) -> Result<()> {
         let ((src, dst), total) = self.pair_elements[pi];
-        if wire.len() != total
+        if sum.len() != total as u64
             || frame.elements != total as u64
-            || wire_checksum(wire) != frame.checksum
+            || sum.finish() != frame.checksum
         {
             return Err(RuntimeError::CorruptMessage {
                 src,
@@ -1184,6 +1191,41 @@ impl Corruption {
         wire[e] = orig.flip_bit(self.bit);
         Some((e, orig))
     }
+
+    /// The no-wire counterpart of [`Corruption::apply`]: flips the armed
+    /// bit where the same element of message `pi` lands, if that element
+    /// belongs to part `part`, whose new segments are `locals`.  Returns
+    /// the `(processor, offset, pristine value)` a modelled retransmission
+    /// restores.
+    fn land<T: Element>(
+        &self,
+        fused: &FusedPlan,
+        part: usize,
+        locals: &mut [Vec<T>],
+    ) -> Option<(usize, usize, T)> {
+        let ((s, d), total) = fused.pair(self.pi);
+        let mut e = (self.elem_seed as usize) % total;
+        for sl in fused.wire_slices(s, d) {
+            if e >= sl.elements {
+                e -= sl.elements;
+                continue;
+            }
+            if sl.part != part {
+                return None;
+            }
+            let t = &fused.parts[part].transfers()[fused.pair_transfer[part][&(s, d)]];
+            for run in &t.runs {
+                if e < run.len {
+                    let off = run.dst_start + e;
+                    let orig = locals[d][off];
+                    locals[d][off] = orig.flip_bit(self.bit);
+                    return Some((d, off, orig));
+                }
+                e -= run.len;
+            }
+        }
+        None
+    }
 }
 
 /// The receive side of the in-memory transports: checks wire message `pi`
@@ -1198,13 +1240,13 @@ fn check_or_repair<T: Element>(
     frame: &WireFrameMsg,
     repair: Option<(usize, T)>,
 ) -> Result<()> {
-    if fused.check(pi, wire, frame).is_ok() {
+    if fused.check(pi, WireSum::of(wire), frame).is_ok() {
         return Ok(());
     }
     if let Some((e, orig)) = repair {
         wire[e] = orig;
     }
-    fused.check(pi, wire, frame)?;
+    fused.check(pi, WireSum::of(wire), frame)?;
     trace::instant(trace::Phase::CorruptionRepair);
     Ok(())
 }
@@ -1289,7 +1331,7 @@ fn wire_copy_for_dest<T: Element>(
     let mut bufs = fused.local_buffers(d, |idx| dst_sizes[idx].get(d).copied().unwrap_or(0), src);
     for &pi in fused.arriving(d) {
         let mut wire = fused.pack(pi, src);
-        let frame = fused.seal(pi, seq_base, &wire);
+        let frame = fused.seal(pi, seq_base, WireSum::of(&wire));
         let repair = corruption.and_then(|c| c.apply(pi, &mut wire));
         if verify {
             check_or_repair(fused, pi, &mut wire, &frame, repair)?;
@@ -1299,12 +1341,13 @@ fn wire_copy_for_dest<T: Element>(
     Ok(bufs)
 }
 
-/// The blocking shared-memory transport of the fused wire exchange: the
-/// single-message-per-pair batch is posted, every destination's pack →
-/// unpack streams run through `executor` (one work item per destination,
-/// parallelised by the pooled backend above its cutoff), and the batch
-/// completes with the pack/unpack seconds credited as copy-overlap
-/// compute.  Returns per-part, per-processor destination buffers.
+/// The blocking shared-memory transport of the fused wire exchange (the
+/// fused ghost exchange runs on it): the single-message-per-pair batch is
+/// posted, every destination's pack → unpack streams run through
+/// `executor` (one work item per destination, parallelised by the pooled
+/// backend above its cutoff), and the batch completes with the
+/// pack/unpack seconds credited as copy-overlap compute.  Returns
+/// per-part, per-processor destination buffers.
 ///
 /// # Errors
 /// [`RuntimeError::CorruptMessage`] if a framed wire buffer fails
@@ -1383,6 +1426,25 @@ pub(crate) fn redistribute_targets<T: Element>(
     Ok((new_dists, dst_sizes))
 }
 
+/// Installs `locals` as `array`'s segments on `new_dist` (broadcasting to
+/// replicated copies) and returns the [`RedistReport`] of what the array
+/// *would* have charged moved unfused by `part`.
+fn install_part<T: Element>(
+    array: &mut DistArray<T>,
+    part: &CommPlan,
+    new_dist: vf_dist::Distribution,
+    locals: Vec<Vec<T>>,
+) -> RedistReport {
+    array.replace(new_dist, locals);
+    array.broadcast_canonical();
+    RedistReport {
+        moved_elements: part.moved_elements(),
+        stayed_elements: part.stayed_elements(),
+        messages: part.num_messages(),
+        bytes: part.bytes_for(T::BYTES),
+    }
+}
+
 /// Installs the new locals of a fused redistribution (broadcasting to
 /// replicated copies) and returns one [`RedistReport`] per array with what
 /// the array *would* have charged unfused.
@@ -1397,26 +1459,89 @@ pub(crate) fn install_redistributed<T: Element>(
         .zip(fused.parts())
         .zip(new_dists)
         .zip(bufs)
-        .map(|(((array, part), new_dist), locals)| {
-            array.replace(new_dist, locals);
-            array.broadcast_canonical();
-            RedistReport {
-                moved_elements: part.moved_elements(),
-                stayed_elements: part.stayed_elements(),
-                messages: part.num_messages(),
-                bytes: part.bytes_for(T::BYTES),
-            }
-        })
+        .map(|(((array, part), new_dist), locals)| install_part(array, part, new_dist, locals))
         .collect()
 }
 
-/// Executes a fused `DISTRIBUTE` through the **wire-layout** path: every
-/// crossing processor pair's payload is packed into one contiguous wire
-/// buffer (laid out by [`FusedPlan::wire_slices`]), charged as exactly one
-/// message for the whole class, and unpacked at the destination, with the
-/// pack/unpack phases run through `executor` and credited as copy-overlap
-/// compute.  The buffers are bitwise those of redistributing each array on
-/// its own plan; only the message count drops.
+/// One part's slice of crossing message `t.src → t.dst`, summed over its
+/// runs where they are read from (`landed == false`: `bufs` are the old
+/// segments) or where they landed (`landed == true`: `bufs` are the new
+/// segments).
+fn slice_sum<T: Element>(t: &Transfer, bufs: &[Vec<T>], landed: bool) -> WireSum {
+    let (buf, start): (&[T], fn(&PlanRun) -> usize) = if landed {
+        (&bufs[t.dst.0], |r| r.dst_start)
+    } else {
+        (&bufs[t.src.0], |r| r.src_start)
+    };
+    t.runs.iter().fold(WireSum::default(), |sum, r| {
+        sum.add(&buf[start(r)..start(r) + r.len])
+    })
+}
+
+/// The crossing transfers of `part` — its slices of the fused messages.
+fn crossing(part: &CommPlan) -> impl Iterator<Item = &Transfer> {
+    part.transfers()
+        .iter()
+        .filter(|t| t.src != t.dst && t.elements > 0)
+}
+
+/// The receive-side check of one part of an in-memory fused `DISTRIBUTE`:
+/// each crossing slice summed where it landed in `locals` must equal its
+/// `sent` sum.  On a mismatch the armed corruption's pristine element
+/// (`repair`: processor, offset, value — the payload a modelled
+/// retransmission carries) is restored and the slice summed again; a
+/// mismatch that is not the armed flip is unrepairable.
+///
+/// # Errors
+/// [`RuntimeError::CorruptMessage`] naming the pair and the sequence number
+/// of its fused message.
+fn check_landed<T: Element>(
+    fused: &FusedPlan,
+    part: &CommPlan,
+    locals: &mut [Vec<T>],
+    sent: &[WireSum],
+    seq_base: u64,
+    mut repair: Option<(usize, usize, T)>,
+) -> Result<()> {
+    for (t, &sent) in crossing(part).zip(sent) {
+        if slice_sum(t, locals, true) == sent {
+            continue;
+        }
+        if let Some((d, off, orig)) = repair.take() {
+            locals[d][off] = orig;
+        }
+        if slice_sum(t, locals, true) != sent {
+            let (src, dst) = (t.src.0, t.dst.0);
+            let pi = fused.message_index(src, dst).unwrap_or_default();
+            return Err(RuntimeError::CorruptMessage {
+                src,
+                dst,
+                seq: seq_base + pi as u64,
+            });
+        }
+        trace::instant(trace::Phase::CorruptionRepair);
+    }
+    Ok(())
+}
+
+/// Executes a fused `DISTRIBUTE` in memory: the whole class is charged as
+/// **one message per crossing processor pair** (`FusedPlan::post`), and
+/// the data moves one array at a time through `executor`'s plain
+/// [`PlanExecutor::run_copies`] loop, straight from old segments to new —
+/// no wire is staged, so every element is copied once.  Each array is
+/// installed before the next one is copied, which frees its old segments
+/// before the next array's new ones are allocated.  The batch completes
+/// with the pack/unpack seconds of the fused wire credited as copy-overlap
+/// compute, so the accounting is that of the wire the statement models.
+/// The buffers are bitwise those of redistributing each array on its own
+/// plan; only the message count drops.
+///
+/// With a fault injector attached the parts' slices of every message are
+/// framed without a wire: each slice is summed (`WireSum`) over its
+/// source runs before the copy and over its landed runs after it, and an
+/// injected flip lands in the new segment, is detected there, and is
+/// repaired before that array is installed.  Without an injector nothing is
+/// summed.
 ///
 /// `arrays` must align with [`FusedPlan::parts`] (array `i` is moved by
 /// part `i`).  Returns one [`RedistReport`] per array, whose
@@ -1428,7 +1553,11 @@ pub(crate) fn install_redistributed<T: Element>(
 /// [`RuntimeError::FusionMismatch`] if `arrays` and parts disagree in
 /// length; [`RuntimeError::PlanMismatch`] / [`RuntimeError::TrackerMismatch`]
 /// if any part does not apply to its array (validated for *all* arrays
-/// before any data moves, so a failed fused execute changes nothing).
+/// before anything is charged or moved, so a failed validation changes
+/// nothing); [`RuntimeError::CorruptMessage`] if a landed slice fails its
+/// check and cannot be repaired — that array and the ones after it keep
+/// their old distribution, the arrays before it are installed, and the
+/// posted charges are settled.
 pub fn execute_redistribute_fused_wire<T: Element, E: PlanExecutor>(
     arrays: &mut [&mut DistArray<T>],
     fused: &FusedPlan,
@@ -1437,11 +1566,46 @@ pub fn execute_redistribute_fused_wire<T: Element, E: PlanExecutor>(
 ) -> Result<(Vec<RedistReport>, ExecReport)> {
     let (new_dists, dst_sizes) =
         redistribute_targets(arrays, fused, tracker, "execute_redistribute_fused_wire")?;
-    let (bufs, exec) = {
-        let srcs: Vec<&[Vec<T>]> = arrays.iter().map(|a| a.locals()).collect();
-        execute_fused_wire(fused, tracker, executor, &srcs, &dst_sizes)?
-    };
-    Ok((install_redistributed(arrays, fused, new_dists, bufs), exec))
+    let (pending, exec) = fused.post(tracker, T::BYTES);
+    let seq_base = next_wire_seq_block(fused.num_messages() as u64);
+    let verify = tracker.fault_injector().is_some();
+    let corruption = Corruption::arm(fused, tracker, T::BYTES);
+    let mut reports = Vec::with_capacity(arrays.len());
+    let mut outcome = Ok(());
+    for (idx, ((array, new_dist), sizes)) in
+        arrays.iter_mut().zip(new_dists).zip(&dst_sizes).enumerate()
+    {
+        let part = &fused.parts()[idx];
+        let span = trace::OpenSpan::begin(trace::Phase::Unpack);
+        let sent: Vec<WireSum> = if verify {
+            crossing(part)
+                .map(|t| slice_sum(t, array.locals(), false))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut locals = executor.run_copies(part.transfers(), array.locals(), sizes, tracker);
+        if verify {
+            let repair = corruption.and_then(|c| c.land(fused, idx, &mut locals));
+            outcome = check_landed(fused, part, &mut locals, &sent, seq_base, repair);
+        }
+        span.end();
+        if outcome.is_err() {
+            break;
+        }
+        reports.push(install_part(array, part, new_dist, locals));
+    }
+    // Settle the posted batch before any `?` — charges must never leak on
+    // the corrupt-message path.
+    let wait = trace::OpenSpan::begin(trace::Phase::Wait);
+    finish_with_copy_credit(
+        tracker,
+        pending,
+        &wire_copy_seconds(fused, T::BYTES, tracker),
+    );
+    wait.end();
+    outcome?;
+    Ok((reports, exec))
 }
 
 // ---------------------------------------------------------------------------
@@ -1908,7 +2072,7 @@ pub(crate) fn split_execute_fused_wire<'e, T: Element>(
     let frames: Vec<WireFrameMsg> = wires
         .iter()
         .enumerate()
-        .map(|(pi, w)| fused.seal(pi, seq_base, w))
+        .map(|(pi, w)| fused.seal(pi, seq_base, WireSum::of(w)))
         .collect();
     pack_span.end();
     // Arm any injected corruption: flip one bit of one sealed wire and
@@ -2153,6 +2317,7 @@ pub fn redistribute_split<'e, T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::wire_checksum;
     use crate::plan::plan_redistribute;
     use vf_dist::{DistType, Distribution, ProcessorView};
     use vf_index::IndexDomain;
@@ -2627,11 +2792,11 @@ mod tests {
             array.locals()[p].as_slice()
         });
         assert_eq!(wire.len(), total);
-        let frame = fused.seal(pi, 40, &wire);
+        let frame = fused.seal(pi, 40, WireSum::of(&wire));
         assert_eq!((frame.seq, frame.elements), (40, total as u64));
-        fused.check(pi, &wire, &frame).unwrap();
+        fused.check(pi, WireSum::of(&wire), &frame).unwrap();
         wire[0] = wire[0].flip_bit(3);
-        let err = fused.check(pi, &wire, &frame).unwrap_err();
+        let err = fused.check(pi, WireSum::of(&wire), &frame).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::CorruptMessage {
@@ -2643,16 +2808,24 @@ mod tests {
         // Restoring the pristine element (the modelled retransmission)
         // makes the same frame verify again; a truncated wire never does.
         wire[0] = wire[0].flip_bit(3);
-        fused.check(pi, &wire, &frame).unwrap();
-        assert!(fused.check(pi, &wire[1..], &frame).is_err());
+        fused.check(pi, WireSum::of(&wire), &frame).unwrap();
+        assert!(fused.check(pi, WireSum::of(&wire[1..]), &frame).is_err());
     }
 
     #[test]
     fn wire_frames_carry_distinct_sequence_numbers() {
         let (fused, array) = codec_fixture();
         let wire = fused.pack(0, |_, p| array.locals()[p].as_slice());
-        let a = fused.seal(0, next_wire_seq_block(fused.num_messages() as u64), &wire);
-        let b = fused.seal(0, next_wire_seq_block(fused.num_messages() as u64), &wire);
+        let a = fused.seal(
+            0,
+            next_wire_seq_block(fused.num_messages() as u64),
+            WireSum::of(&wire),
+        );
+        let b = fused.seal(
+            0,
+            next_wire_seq_block(fused.num_messages() as u64),
+            WireSum::of(&wire),
+        );
         assert_ne!(a.seq, b.seq);
         assert_eq!(a.checksum, b.checksum);
     }

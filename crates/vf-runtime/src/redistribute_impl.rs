@@ -248,11 +248,11 @@ pub fn execute_redistribute_with<T: Element, E: PlanExecutor>(
 /// shards, every crossing pair's wire buffer travels over a real
 /// [`vf_machine::spmd`] channel, and the new per-rank locals are gathered
 /// back into the arrays.  Buffers, reports and modelled charges are
-/// bitwise identical to the shared wire path; the real channel traffic is
+/// bitwise identical to the in-memory path; the real channel traffic is
 /// additionally counted in the tracker's channel statistics.
 ///
 /// # Errors
-/// As the shared wire path (everything is validated before any data
+/// As the in-memory path (everything is validated before any data
 /// moves), plus [`RuntimeError::Channel`] when a rank's channel operation
 /// fails mid-region — the arrays are left on their *old* distribution in
 /// that case.

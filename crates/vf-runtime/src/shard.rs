@@ -31,6 +31,7 @@
 //! a truncated payload surfaces as [`RuntimeError::Channel`] from the
 //! exchange, after the posted model charges are settled.
 
+use crate::element::WireSum;
 use crate::exec::{
     finish_with_copy_credit, next_wire_seq_block, part_major, wire_copy_seconds, ExecReport,
     FusedPlan, PlanExecutor, SerialExecutor,
@@ -277,7 +278,7 @@ fn rank_exchange<T: Element>(
             format!("p{r} -> p{d}: {total} elements")
         });
         let wire = fused.pack(pi, src);
-        let frame = fused.seal(pi, seq_base, &wire);
+        let frame = fused.seal(pi, seq_base, WireSum::of(&wire));
         pack.end();
         ctx.send_wire(d, WIRE_TAG, frame, &encode_slice(&wire))?;
     }
@@ -293,7 +294,7 @@ fn rank_exchange<T: Element>(
         } else {
             Vec::new()
         };
-        fused.check(pi, &wire, &frame)?;
+        fused.check(pi, WireSum::of(&wire), &frame)?;
         let _unpack = trace::OpenSpan::begin_dest(trace::Phase::Unpack, r);
         fused.unpack(pi, &wire, &mut bufs);
     }

@@ -22,7 +22,7 @@ use vf_apps::pic::{self, PicConfig, PicStrategy};
 use vf_apps::smoothing::{self, SmoothingConfig, SmoothingLayout};
 use vf_apps::workloads::{self, ParticleLayout};
 use vf_core::prelude::*;
-use vf_integration::zero_machine;
+use vf_integration::{locals_of, zero_machine};
 use vf_machine::{FaultInjector, FaultKind, FaultPlan};
 use vf_runtime::ghost::{
     exchange_ghosts_fused_wire, exchange_ghosts_fused_wire_split, exchange_ghosts_fused_wire_with,
@@ -173,6 +173,65 @@ fn injected_corruption_is_always_detected_and_repaired() {
         );
         assert_eq!(stats.faults_injected(), 2, "{t}: faults counted");
         assert_eq!(stats.retries(), 2, "{t}: one retransmission each");
+    }
+
+    // A blocking fused DISTRIBUTE of a two-array class, columns → rows and
+    // back: each statement takes one flipped bit, which is detected and
+    // repaired before the array it landed in is installed.
+    let targets = [DistType::rows(), DistType::columns()];
+    let class = || -> Vec<DistArray<f64>> {
+        (0..2)
+            .map(|k| grid_array("R", DistType::columns(), n, p, (k + 1) as f64 * 0.75))
+            .collect()
+    };
+    let distribute = |datas: &mut [DistArray<f64>],
+                      t: &DistType,
+                      tracker: &CommTracker,
+                      executor: &ExecBackend| {
+        let parts: Vec<Arc<CommPlan>> = datas
+            .iter()
+            .map(|a| {
+                let to = Distribution::new(t.clone(), a.domain().clone(), ProcessorView::linear(p))
+                    .unwrap();
+                Arc::new(plan::plan_redistribute(a.dist(), &to).unwrap())
+            })
+            .collect();
+        let fused = FusedPlan::fuse(parts).unwrap();
+        let mut refs: Vec<&mut DistArray<f64>> = datas.iter_mut().collect();
+        execute_redistribute_fused_wire(&mut refs, &fused, tracker, executor).unwrap();
+    };
+    let mut clean = class();
+    let t_clean = clean_tracker(p);
+    let clean_locals: Vec<Vec<Vec<Vec<f64>>>> = targets
+        .iter()
+        .map(|t| {
+            distribute(&mut clean, t, &t_clean, &ExecBackend::Serial);
+            clean.iter().map(locals_of).collect()
+        })
+        .collect();
+    let pool = Arc::new(WorkerPool::new(3));
+    for executor in [ExecBackend::Serial, streaming_backend(&pool)] {
+        let name = executor.name();
+        let plan = FaultPlan::new(11)
+            .with_rate(1.0)
+            .with_kinds(&[FaultKind::CorruptWire])
+            .with_max_faults(32);
+        let inj = Arc::new(FaultInjector::new(plan));
+        let tracker = faulty_tracker(p, &inj);
+        let mut datas = class();
+        for (statements, (t, want)) in (1..).zip(targets.iter().zip(&clean_locals)) {
+            distribute(&mut datas, t, &tracker, &executor);
+            let got: Vec<Vec<Vec<f64>>> = datas.iter().map(locals_of).collect();
+            assert_eq!(&got, want, "{name} DISTRIBUTE {t}: bitwise equal to clean");
+            let stats = tracker.snapshot();
+            assert_eq!(
+                inj.fired_of(FaultKind::CorruptWire),
+                statements,
+                "{name} {t}"
+            );
+            assert_eq!(stats.faults_injected(), statements, "{name} {t}: faults");
+            assert_eq!(stats.retries(), statements, "{name} {t}: retries");
+        }
     }
 }
 

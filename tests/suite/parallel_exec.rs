@@ -286,3 +286,64 @@ proptest! {
         }
     }
 }
+
+/// The modelled accounting of a fused `DISTRIBUTE` is pinned: two 12×12
+/// arrays moved columns → rows on 4 processors, with copies priced at
+/// 1 GB/s, charge the same `CommStats` on the serial and the (forced)
+/// threaded backend — messages, bytes, and every processor's modelled
+/// communication time and copy-overlap compute credit — and those equal
+/// fixed literals, so a change to how the class is moved cannot silently
+/// change what the statement costs.
+#[test]
+fn fused_distribute_accounting_is_pinned() {
+    let (n, p) = (12usize, 4usize);
+    let dist = |t: DistType| {
+        Distribution::new(t, IndexDomain::d2(n, n), ProcessorView::linear(p)).unwrap()
+    };
+    let (from, to) = (dist(DistType::columns()), dist(DistType::rows()));
+    let run = |threaded: bool| {
+        let mut datas: Vec<DistArray<f64>> = (0..2)
+            .map(|k| {
+                DistArray::from_fn(format!("A{k}"), from.clone(), |pt| {
+                    (pt.coord(0) * 100 + pt.coord(1)) as f64 + k as f64 * 0.5
+                })
+            })
+            .collect();
+        let parts: Vec<Arc<CommPlan>> = (0..2)
+            .map(|_| Arc::new(plan::plan_redistribute(&from, &to).unwrap()))
+            .collect();
+        let fused = FusedPlan::fuse(parts).unwrap();
+        let tracker = CommTracker::new(p, CostModel::ipsc860(p).with_copy_bandwidth(1e9));
+        let mut refs: Vec<&mut DistArray<f64>> = datas.iter_mut().collect();
+        if threaded {
+            execute_redistribute_fused_wire(&mut refs, &fused, &tracker, &forced_threaded())
+                .unwrap();
+        } else {
+            execute_redistribute_fused_wire(&mut refs, &fused, &tracker, &SerialExecutor).unwrap();
+        }
+        tracker.snapshot()
+    };
+    let serial = run(false);
+    let threaded = run(true);
+    assert_eq!(serial, threaded, "serial and threaded charge identically");
+    assert_eq!(serial.total_messages(), 12, "one message per crossing pair");
+    assert_eq!(serial.total_bytes(), 1728, "both arrays' crossing bytes");
+    assert_eq!(
+        serial.credited_overlap_seconds(),
+        4.032_000_000_000_000_5e-6
+    );
+    for (q, ps) in serial.per_proc().iter().enumerate() {
+        assert_eq!(
+            *ps,
+            vf_machine::ProcStats {
+                messages_sent: 3,
+                messages_received: 3,
+                bytes_sent: 432,
+                bytes_received: 432,
+                comm_time: 0.000_780_032,
+                compute_time: 1.008_000_000_000_000_1e-6,
+            },
+            "P{q}"
+        );
+    }
+}
